@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .index import Index
 from .table import CatalogError, Table
+
+#: Structural fingerprint -> shape id, process-wide.  Ids are never
+#: reused, so an id names one shape for the life of the process.
+_SHAPE_IDS: dict[tuple, int] = {}
 
 
 @dataclass
@@ -21,6 +25,7 @@ class Schema:
 
     tables: dict[str, Table] = field(default_factory=dict)
     _indexes: dict[str, Index] = field(default_factory=dict)
+    _shape_id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_tables(cls, tables: Iterable[Table]) -> "Schema":
@@ -34,6 +39,25 @@ class Schema:
         if table.name in self.tables:
             raise CatalogError(f"duplicate table {table.name}")
         self.tables[table.name] = table
+        self._shape_id = None
+
+    @property
+    def shape_id(self) -> int:
+        """Small int naming the inputs of name resolution: table names,
+        column names and primary keys.
+
+        Schemas of the same shape (clones, rebuilt products) share the id.
+        Computed once per schema; :meth:`add_table` resets it.
+        """
+        shape = self._shape_id
+        if shape is None:
+            fingerprint = tuple(
+                (name, tuple(table.column_names), tuple(table.primary_key))
+                for name, table in sorted(self.tables.items())
+            )
+            shape = _SHAPE_IDS.setdefault(fingerprint, len(_SHAPE_IDS))
+            self._shape_id = shape
+        return shape
 
     def table(self, name: str) -> Table:
         try:
@@ -96,4 +120,5 @@ class Schema:
     def copy(self) -> "Schema":
         """Shallow-ish copy: shares Table objects, owns the index dict."""
         clone = Schema(dict(self.tables), dict(self._indexes))
+        clone._shape_id = self._shape_id
         return clone

@@ -13,16 +13,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..catalog import Index
-from ..obs import RegressionFlagged, counter, emit
+from ..obs import RegressionFlagged, Tally, emit
 from ..sqlparser import ast, parse
 from ..workload import WorkloadMonitor
 
-_WINDOWS = counter(
-    "regression.windows_observed", "observation windows processed"
-).labels()
-_EVENTS = counter(
-    "regression.events_detected", "per-query regressions flagged"
-).labels()
+_WINDOWS = Tally("regression.windows_observed", "observation windows processed")
+_EVENTS = Tally("regression.events_detected", "per-query regressions flagged")
 
 
 def _referenced_tables(*sql_texts: str) -> set[str]:
@@ -127,9 +123,9 @@ class ContinuousRegressionDetector:
                         database=database,
                     )
                 )
-        _WINDOWS.inc()
+        _WINDOWS.n += 1
         if events:
-            _EVENTS.inc(len(events))
+            _EVENTS.n += len(events)
         self._baseline.update(current)
         # Age the suspect list.
         aged: dict[str, tuple[Index, int]] = {}

@@ -47,6 +47,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Tally,
     counter,
     gauge,
     get_registry,
@@ -100,6 +101,7 @@ __all__ = [
     "MetricsSnapshotBus",
     "SamplingProfiler",
     "Span",
+    "Tally",
     "Tracer",
     "WorkloadDigest",
     "capture_now",
@@ -162,15 +164,23 @@ def reset_telemetry() -> None:
         profiler.reset()
 
 
+#: ``ExecutionMetrics`` field -> its ``engine.<field>`` tally (made on first use).
+_ENGINE_TALLIES: dict[str, Tally] = {}
+_ENGINE_STATEMENTS = Tally("engine.statements", label="kind")
+
+
 def record_execution_metrics(metrics, kind: str = "select") -> None:
     """Bridge one :class:`~repro.engine.ExecutionMetrics` into the registry.
 
     Every executor counter becomes an ``engine.<counter>`` counter labeled
     by statement kind, so page I/O and row counts aggregate across
     statements the same way a server's global status variables would.
+    The counts are tallies: one int add per field, no registry call.
     """
-    registry = get_registry()
     for name, value in metrics.as_dict().items():
         if value:
-            registry.counter(f"engine.{name}").inc(value, kind=kind)
-    registry.counter("engine.statements").inc(1, kind=kind)
+            tally = _ENGINE_TALLIES.get(name)
+            if tally is None:
+                tally = _ENGINE_TALLIES[name] = Tally(f"engine.{name}", label="kind")
+            tally.by[kind] += value
+    _ENGINE_STATEMENTS.by[kind] += 1

@@ -5,10 +5,10 @@ tracer answers *where did the time go*, the registry answers *how often
 and how much* -- optimizer invocations per advisor phase, what-if cache
 hit rates, page I/O bridged from the executor.
 
-Metrics are identified by name and free-form labels.  Hot paths bind a
-label set once (``_CALLS = counter("optimizer.calls").labels()``) and pay
-one lock + one float add per event, which keeps instrumentation overhead
-well under the 5% budget of the advisor benches.
+Metrics are identified by name and free-form labels.  Hot paths that
+count per cached lookup keep a :class:`Tally` instead: a plain int add
+per event, folded into the current registry's counter only when the
+registry is read (the Prometheus collector pattern).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import threading
 import zlib
+from collections import defaultdict
 from typing import Any, Optional
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Tally",
     "get_registry",
     "set_registry",
     "counter",
@@ -330,12 +332,54 @@ class Histogram(_Metric):
         }
 
 
+#: Every :class:`Tally` of the process, by counter name.
+_TALLIES: dict[str, "Tally"] = {}
+
+
+class Tally:
+    """Event counts of one counter, kept as plain ints by a hot path.
+
+    The hot path bumps ``tally.n += 1`` (no labels) or
+    ``tally.by[value] += amount`` (one label named *label*): no lock, no
+    registry lookup.  Whenever the current registry is read it folds the
+    counts added since its last read into its counter *name*, so
+    snapshots, dumps and ``registry.counter(name).value(...)`` show the
+    same names, labels and values as direct ``inc()`` calls would.  The
+    registry only reads the ints; increments are single-writer (the
+    program's hot paths run on one thread).
+    """
+
+    __slots__ = ("name", "help", "label", "n", "by")
+
+    def __init__(self, name: str, help: str = "", label: Optional[str] = None):
+        if name in _TALLIES:
+            raise ValueError(f"tally {name!r} already exists")
+        self.name = name
+        self.help = help
+        self.label = label
+        self.n = 0
+        self.by: defaultdict = defaultdict(int)
+        _TALLIES[name] = self
+
+    def counts(self) -> list[tuple[LabelKey, int]]:
+        """Current totals as ``(label key, count)`` pairs."""
+        if self.label is None:
+            return [((), self.n)]
+        return [
+            (((self.label, str(value)),), count)
+            for value, count in list(self.by.items())
+        ]
+
+
 class MetricsRegistry:
     """Get-or-create home for all metrics of a process."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
+        # (tally name, label key) -> tally count already folded in.
+        self._marks: dict[tuple[str, LabelKey], int] = {}
+        self._collect_lock = threading.Lock()
 
     def _get(self, cls, name: str, help: str):
         with self._lock:
@@ -350,7 +394,11 @@ class MetricsRegistry:
             return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(Counter, name, help)
+        metric = self._get(Counter, name, help)
+        tally = _TALLIES.get(name)
+        if tally is not None:
+            self._collect((tally,))
+        return metric
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(Gauge, name, help)
@@ -359,8 +407,36 @@ class MetricsRegistry:
         return self._get(Histogram, name, help)
 
     def metrics(self) -> dict[str, _Metric]:
+        self._collect()
         with self._lock:
             return dict(self._metrics)
+
+    # -- tallies ---------------------------------------------------------------
+
+    def _collect(self, tallies=None) -> None:
+        """Fold the counts *tallies* (default: all) gained since the last
+        read into this registry's counters.  Only the current registry
+        collects: events count into the registry current when they happen."""
+        if self is not _registry:
+            return
+        if tallies is None:
+            tallies = list(_TALLIES.values())
+        with self._collect_lock:
+            for tally in tallies:
+                for key, count in tally.counts():
+                    mark = (tally.name, key)
+                    delta = count - self._marks.get(mark, 0)
+                    if delta:
+                        self._marks[mark] = count
+                        metric = self._get(Counter, tally.name, tally.help)
+                        metric._child_by_key(key).inc(delta)
+
+    def _mark(self) -> None:
+        """Treat every tally count so far as already read."""
+        with self._collect_lock:
+            for tally in list(_TALLIES.values()):
+                for key, count in tally.counts():
+                    self._marks[(tally.name, key)] = count
 
     def snapshot(self) -> dict[str, dict]:
         """JSON-ready dump of every metric, grouped by kind."""
@@ -373,7 +449,9 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Zero every metric in place (module-bound children stay valid)."""
+        """Zero every metric in place (held children stay valid) and
+        start every tally-backed counter from zero."""
+        self._mark()
         for metric in self.metrics().values():
             metric.reset()
 
@@ -429,14 +507,16 @@ def get_registry() -> MetricsRegistry:
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry.
+    """Swap the process-wide registry; returns the previous one.
 
-    Note: hot paths bind children from the registry current at *import*
-    time; prefer :meth:`MetricsRegistry.reset` for per-run isolation.
+    Tally counts up to the swap stay with the outgoing registry; the
+    incoming one counts from here on.
     """
     global _registry
     previous = _registry
+    previous._collect()
     _registry = registry
+    registry._mark()
     return previous
 
 

@@ -8,11 +8,12 @@ and the table/column structure of the schema -- never on the index
 configuration or the statistics -- so one interned :class:`QueryInfo`
 per (schema shape, statement) serves them all.
 
-The cache is a bounded LRU keyed by ``(schema_fingerprint, sql_text)``.
-The fingerprint covers table names, column names and primary keys (the
-inputs of name resolution); schema *clones* made by
-``Database.stats_clone`` share the fingerprint and therefore the cache
-entries.  ``QueryInfo`` objects are treated as immutable after analysis.
+The cache is a bounded LRU keyed by ``(schema.shape_id, sql_text)``.
+The shape id is a small int interned from table names, column names and
+primary keys (the inputs of name resolution); schema *clones* made by
+``Database.stats_clone`` share it and therefore the cache entries.
+``Schema.add_table`` resets it, so a changed shape never meets a stale
+analysis.  ``QueryInfo`` objects are treated as immutable after analysis.
 """
 
 from __future__ import annotations
@@ -21,23 +22,17 @@ from collections import OrderedDict
 from typing import Callable, Hashable, Optional
 
 from ..catalog import Schema
-from ..obs import counter
+from ..obs import Tally
 from ..sqlparser import ast, parse
 from .query_info import QueryInfo, analyze_query
 
-__all__ = ["LRUCache", "analyze_cached", "analysis_cache_info", "clear_analysis_cache", "schema_fingerprint"]
+__all__ = ["LRUCache", "analyze_cached", "analysis_cache_info", "clear_analysis_cache"]
 
 #: Process-wide bound on interned analyses.
 ANALYSIS_CACHE_SIZE = 4096
 
 
-# Metric handles resolve at call time so ``set_registry`` swaps keep
-# counting into the current registry (see the note in ``what_if``).
-
-def _analyze_hits():
-    return counter(
-        "analyze.cache_hits", "interned parse/analyze cache hits"
-    ).labels()
+_ANALYZE_HITS = Tally("analyze.cache_hits", "interned parse/analyze cache hits")
 
 
 class LRUCache:
@@ -88,25 +83,6 @@ class LRUCache:
         self._data.clear()
 
 
-def schema_fingerprint(schema: Schema) -> tuple:
-    """Structural fingerprint of the name-resolution inputs of *schema*.
-
-    Cached on the schema instance; invalidated when a table is added
-    (index DDL does not affect analysis, so index changes keep it).
-    """
-    cached = getattr(schema, "_analysis_fingerprint", None)
-    if cached is not None and cached[0] == len(schema.tables):
-        return cached[1]
-    fingerprint = tuple(
-        (name, tuple(table.column_names), tuple(table.primary_key))
-        for name, table in sorted(schema.tables.items())
-    )
-    # (table count, fingerprint): the count guards against add_table on a
-    # schema whose fingerprint was already computed.
-    schema._analysis_fingerprint = (len(schema.tables), fingerprint)
-    return fingerprint
-
-
 _cache = LRUCache(ANALYSIS_CACHE_SIZE)
 _hits = 0
 _misses = 0
@@ -128,11 +104,11 @@ def analyze_cached(schema: Schema, stmt) -> QueryInfo:
     else:
         parsed = stmt
         text = stmt.to_sql()
-    key = (schema_fingerprint(schema), text)
+    key = (schema.shape_id, text)
     info = _cache.get(key)
     if info is not None:
         _hits += 1
-        _analyze_hits().inc()
+        _ANALYZE_HITS.n += 1
         return info
     if parsed is None:
         parsed = parse(text)

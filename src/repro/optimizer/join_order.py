@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..catalog import Index, Schema, Table
 from ..engine.pages import CostParams
-from ..obs import counter
+from ..obs import Tally
 from ..sqlparser import ast
 from ..stats import ColumnStats, StatsCatalog
 from .access_path import ProbeContext, best_no_index_cost, best_path, enumerate_paths
@@ -31,12 +31,11 @@ from .switches import DEFAULT_SWITCHES, OptimizerSwitches
 #: Maximum bindings handled by exhaustive DP; larger queries go greedy.
 DP_LIMIT = 10
 
-_ENUM = counter(
-    "optimizer.join_enumeration", "join-order strategy per planned join query"
+_ENUM = Tally(
+    "optimizer.join_enumeration",
+    "join-order strategy per planned join query",
+    label="strategy",
 )
-_ENUM_DP = _ENUM.labels(strategy="dp")
-_ENUM_GREEDY = _ENUM.labels(strategy="greedy")
-_ENUM_STRAIGHT = _ENUM.labels(strategy="straight")
 
 
 class SelectPlanner:
@@ -234,15 +233,15 @@ class SelectPlanner:
 
     def _join_plan(self, bindings: list[str]) -> Plan:
         if self.info.straight_join:
-            _ENUM_STRAIGHT.inc()
+            _ENUM.by["straight"] += 1
             order = bindings
             steps, rows = self._build_pipeline(order)
             return self._finalize(steps, rows)
         if len(bindings) <= DP_LIMIT:
-            _ENUM_DP.inc()
+            _ENUM.by["dp"] += 1
             order = self._dp_order(bindings)
         else:
-            _ENUM_GREEDY.inc()
+            _ENUM.by["greedy"] += 1
             order = self._greedy_order(bindings)
         steps, rows = self._build_pipeline(order)
         plan = self._finalize(steps, rows)

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import counter, histogram
+from ..obs import Tally, histogram
 from ..sqlparser import ast, parse
 from .cost_model import affected_rows, dml_base_cost, maintenance_cost
 from .join_order import SelectPlanner
@@ -27,14 +27,7 @@ from .query_info import QueryInfo, analyze_query
 
 Statement = Union[str, ast.Statement, QueryInfo]
 
-# Bound metric children: one dict lookup at import, one add per event.
-_CALLS_SELECT = counter(
-    "optimizer.calls", "optimizer invocations by statement kind"
-).labels(kind="select")
-_CALLS_DML = counter("optimizer.calls").labels(kind="dml")
-_PLAN_COST = histogram(
-    "optimizer.plan_cost", "total estimated cost per produced plan"
-).labels()
+_CALLS = Tally("optimizer.calls", "optimizer invocations by statement kind", label="kind")
 
 
 class Optimizer:
@@ -70,7 +63,7 @@ class Optimizer:
         if materialized_only:
             extra_indexes = [idx for idx in extra_indexes if not idx.dataless]
         if isinstance(info.stmt, ast.Select):
-            _CALLS_SELECT.inc()
+            _CALLS.by["select"] += 1
             planner = SelectPlanner(
                 self.db.schema,
                 self.db.stats,
@@ -82,9 +75,11 @@ class Optimizer:
             )
             plan = planner.plan()
         else:
-            _CALLS_DML.inc()
+            _CALLS.by["dml"] += 1
             plan = self._explain_dml(info, extra_indexes)
-        _PLAN_COST.observe(plan.total_cost)
+        histogram(
+            "optimizer.plan_cost", "total estimated cost per produced plan"
+        ).observe(plan.total_cost)
         return plan
 
     def cost(self, stmt: Statement, extra_indexes: Sequence[Index] = ()) -> float:

@@ -57,8 +57,8 @@ def _init_worker(db: Database, fast_path: bool, trace_enabled: bool) -> None:
     # Fresh telemetry: the fork copied the parent's tracer/registry state,
     # and anything recorded pre-fork must not be re-shipped as worker
     # work.  The tracer is replaced outright (library code resolves
-    # get_tracer() at call time); the registry is reset *in place* so
-    # metric children bound at import time keep recording.
+    # get_tracer() at call time); the registry is reset in place, which
+    # also starts its collected counters (tallies) from zero.
     set_tracer(Tracer(enabled=trace_enabled))
     # The parent hands over its already-prepared evaluation database
     # (indexes dropped when configurations are meant to be evaluated

@@ -37,7 +37,7 @@ from typing import Collection, Iterable, Optional
 
 from ..catalog import Index
 from ..engine import Database
-from ..obs import counter, histogram, profile
+from ..obs import Tally, histogram, profile
 from ..sqlparser import ast
 from .analysis_cache import LRUCache, analyze_cached
 from .optimizer import Optimizer, Statement
@@ -50,39 +50,15 @@ DEFAULT_PLAN_CACHE_SIZE = 8192
 #: Bound on canonical entries kept per statement (L2).
 CANONICAL_ENTRIES_PER_STATEMENT = 16
 
-# Metric handles are resolved at call time: binding them at import time
-# would pin them to whatever registry was current when this module first
-# loaded, silently diverging from ``CostEvaluator.cache_hits`` after a
-# ``set_registry`` swap.
-
-
-def _whatif_evals():
-    return counter(
-        "whatif.evaluations", "what-if plan requests (cached + uncached)"
-    ).labels()
-
-
-def _whatif_hits():
-    return counter("whatif.cache_hits", "what-if plan cache hits").labels()
-
-
-def _whatif_canonical_hits():
-    return counter(
-        "whatif.canonical_hits",
-        "what-if hits served by the canonical used(C)⊆C'⊆C rule",
-    ).labels()
-
-
-def _whatif_evictions():
-    return counter(
-        "whatif.cache_evictions", "what-if plan cache LRU evictions"
-    ).labels()
-
-
-def _whatif_cost():
-    return histogram(
-        "whatif.plan_cost", "plan costs of uncached what-if evaluations"
-    ).labels()
+_EVALUATIONS = Tally(
+    "whatif.evaluations", "what-if plan requests (cached + uncached)"
+)
+_CACHE_HITS = Tally("whatif.cache_hits", "what-if plan cache hits")
+_CANONICAL_HITS = Tally(
+    "whatif.canonical_hits",
+    "what-if hits served by the canonical used(C)⊆C'⊆C rule",
+)
+_EVICTIONS = Tally("whatif.cache_evictions", "what-if plan cache LRU evictions")
 
 
 def fast_path_default() -> bool:
@@ -149,7 +125,7 @@ class CostEvaluator:
 
     def _record_eviction(self, _key, _plan) -> None:
         self.cache_evictions += 1
-        _whatif_evictions().inc()
+        _EVICTIONS.n += 1
 
     def cache_stats(self) -> dict:
         """Cache-tier snapshot (bench_perf / obs-report material)."""
@@ -170,18 +146,20 @@ class CostEvaluator:
     # -- planning -----------------------------------------------------------
 
     def _relevant(self, info: QueryInfo, config: Collection[Index]) -> list[Index]:
-        """Project *config* onto the indexes that can affect *info*'s plan."""
+        """Project *config* onto the indexes that can affect *info*'s plan
+        (as configured: callers key caches on ``Index.key``, which ignores
+        the dataless flag)."""
         if not config:
             return []
         if self.fast_path and isinstance(info.stmt, ast.Select):
             usable = info.usable_columns()
             return [
-                idx.as_dataless()
+                idx
                 for idx in config
                 if not usable.get(idx.table, _EMPTY).isdisjoint(idx.columns)
             ]
         tables = set(info.bindings.values())
-        return [idx.as_dataless() for idx in config if idx.table in tables]
+        return [idx for idx in config if idx.table in tables]
 
     def plan(self, stmt: Statement, config: Collection[Index] = ()) -> Plan:
         """Plan *stmt* under hypothetical configuration *config*."""
@@ -190,11 +168,11 @@ class CostEvaluator:
         sql = info.cache_sql or info.stmt.to_sql()
         relevant_keys = frozenset(idx.key for idx in relevant)
         key = (sql, relevant_keys)
-        _whatif_evals().inc()
+        _EVALUATIONS.n += 1
         cached = self._plan_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
-            _whatif_hits().inc()
+            _CACHE_HITS.n += 1
             return cached
         is_select = isinstance(info.stmt, ast.Select)
         if self.fast_path and is_select and relevant:
@@ -202,19 +180,23 @@ class CostEvaluator:
             if canonical is not None:
                 self.cache_hits += 1
                 self.canonical_hits += 1
-                _whatif_hits().inc()
-                _whatif_canonical_hits().inc()
+                _CACHE_HITS.n += 1
+                _CANONICAL_HITS.n += 1
                 # Promote to an exact entry: the next identical lookup is O(1).
                 self._plan_cache.put(key, canonical)
                 return canonical
-        plan = self.optimizer.explain(info, extra_indexes=relevant)
+        plan = self.optimizer.explain(
+            info, extra_indexes=[idx.as_dataless() for idx in relevant]
+        )
         self._plan_cache.put(key, plan)
         if self.fast_path and is_select and relevant:
             used_keys = frozenset(
                 idx.key for idx in relevant if idx.name in plan.used_indexes
             )
             self._canonical_store(sql, used_keys, relevant_keys, plan)
-        _whatif_cost().observe(plan.total_cost)
+        histogram(
+            "whatif.plan_cost", "plan costs of uncached what-if evaluations"
+        ).observe(plan.total_cost)
         return plan
 
     def _canonical_lookup(
@@ -250,7 +232,7 @@ class CostEvaluator:
         if len(entries) > CANONICAL_ENTRIES_PER_STATEMENT:
             entries.pop(0)
             self.cache_evictions += 1
-            _whatif_evictions().inc()
+            _EVICTIONS.n += 1
 
     # -- costs --------------------------------------------------------------
 
@@ -333,10 +315,8 @@ class CostEvaluator:
         costs, stats, exported = self._pool.costs(sqls, list(config), jobs)
         if costs is None:
             return None
-        # Merge worker work back into this evaluator's accounting/caches.
-        # The pool already merged the workers' *registry* deltas; mirroring
-        # the same deltas onto the instance attributes keeps the documented
-        # lockstep between e.g. ``cache_hits`` and ``whatif.cache_hits``.
+        # Merge worker work back into this evaluator's accounting/caches
+        # (the pool already merged the workers' registry deltas).
         self.optimizer.calls += stats.get("optimizer_calls", 0)
         self.cache_hits += stats.get("cache_hits", 0)
         self.canonical_hits += stats.get("canonical_hits", 0)

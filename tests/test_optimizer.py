@@ -78,27 +78,37 @@ def test_cost_evaluator_caches_plans(db):
     assert ev.cache_hits >= 1
 
 
-def test_cache_hits_metric_tracks_instance_counter(db):
-    # The whatif.cache_hits registry counter must move in lockstep with
-    # CostEvaluator.cache_hits even after the process registry is
-    # swapped (import-time metric handles would keep pointing at the
-    # old registry).
-    from repro.obs import MetricsRegistry, get_registry, set_registry
+def test_cache_hits_snapshot_matches_evaluator(db):
+    # whatif.cache_hits is a tally the registry reads at snapshot time:
+    # after a reset, and in a registry swapped in later, it shows exactly
+    # the hits of the evaluator that ran since.
+    from repro.obs import MetricsRegistry, get_registry, reset_telemetry, set_registry
 
-    previous = get_registry()
-    fresh = MetricsRegistry()
-    set_registry(fresh)
+    sql = "SELECT name FROM users WHERE city = 'c1'"
+
+    def hits_in_snapshot():
+        counters = get_registry().snapshot()["counters"]
+        return counters.get("whatif.cache_hits", {}).get("", 0)
+
+    CostEvaluator(db).cost(sql)       # activity before the reset
+    reset_telemetry()
+    ev = CostEvaluator(db)
+    for _ in range(3):
+        ev.cost(sql)
+    assert ev.cache_hits == 2
+    assert hits_in_snapshot() == ev.cache_hits
+
+    previous = set_registry(MetricsRegistry())
     try:
-        ev = CostEvaluator(db)
-        sql = "SELECT name FROM users WHERE city = 'c1'"
-        ev.cost(sql)
-        ev.cost(sql)
-        ev.cost(sql)
-        assert ev.cache_hits == 2
-        metric = fresh.counter("whatif.cache_hits").labels()
-        assert metric.value == ev.cache_hits
+        swapped = CostEvaluator(db)
+        for _ in range(4):
+            swapped.cost(sql)
+        assert swapped.cache_hits == 3
+        assert hits_in_snapshot() == swapped.cache_hits
     finally:
         set_registry(previous)
+    # Hits made while another registry was current stay out of this one.
+    assert hits_in_snapshot() == ev.cache_hits
 
 
 def test_cache_key_projects_config_onto_query_tables(db):
