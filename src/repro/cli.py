@@ -66,6 +66,7 @@ from .obs import (
     default_status_path,
     disable_profiler,
     enable_profiler,
+    get_registry,
     get_tracer,
     profile,
     read_events,
@@ -266,9 +267,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="optional cap on index width")
     parser.add_argument("--algorithm", choices=sorted(ALL_ALGORITHMS),
                         default="aim", help="advisor to run")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for workload costing "
-                             "(default 1 = serial; results are identical)")
     parser.add_argument("--profile", default=None, metavar="FILE",
                         help="run the sampling profiler and write "
                              "collapsed stacks (flamegraph.pl input)")
@@ -339,7 +337,7 @@ def make_fuzz_parser() -> argparse.ArgumentParser:
 _VALUE_FLAGS = {
     "--trace", "--schema", "--workload", "--budget", "--rows",
     "--default-rows", "--engine", "--join-parameter", "--max-width",
-    "--algorithm", "--jobs", "--format", "--sql", "--seed",
+    "--algorithm", "--format", "--sql", "--seed",
     "--iters", "--oracles", "--out", "--max-failures", "--replay",
     "--profile", "--status", "--interval", "--window", "--serve",
 }
@@ -460,17 +458,23 @@ def fleet_report(argv: Sequence[str]) -> int:
         print("usage: repro.cli fleet-report JOURNAL.jsonl [--json]",
               file=sys.stderr)
         return 2
+    torn_before = _torn_tail_count()
     try:
         records = read_events(paths[0])
     except (OSError, ValueError) as exc:
         print(f"error: cannot read journal {paths[0]}: {exc}",
               file=sys.stderr)
         return 2
+    torn_tail = _torn_tail_count() - torn_before
     if as_json:
-        print(json.dumps(fleet_report_data(records), indent=2))
+        print(json.dumps(fleet_report_data(records, torn_tail), indent=2))
     else:
-        print(render_fleet_report(records))
+        print(render_fleet_report(records, torn_tail))
     return 0
+
+
+def _torn_tail_count() -> int:
+    return int(get_registry().counter("journal.torn_tail").value())
 
 
 def fuzz(argv: Sequence[str]) -> int:
@@ -634,7 +638,6 @@ def _advise(args, db: Database, workload: Workload) -> int:
         config = AimConfig(
             join_parameter=args.join_parameter,
             max_index_width=args.max_width,
-            jobs=args.jobs,
         )
         recommendation = AimAdvisor(db, config).recommend(workload, args.budget)
         if args.format == "json":
@@ -667,7 +670,6 @@ def _advise(args, db: Database, workload: Workload) -> int:
         return _write_trace(args.trace)
 
     algorithm = ALL_ALGORITHMS[args.algorithm](db)
-    algorithm.jobs = args.jobs
     result = algorithm.select(workload, args.budget)
     if args.format == "json":
         payload = {

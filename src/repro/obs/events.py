@@ -20,8 +20,9 @@ Usage mirrors the tracer/registry singletons::
                          index="idx_orders_created", table="orders"))
 
 ``read_events(path)`` loads a journal back (validating the schema
-version), and :mod:`repro.obs.fleet_report` renders audit reports from
-the loaded records.
+version and skipping a final line torn by a crash mid-append), and
+:mod:`repro.obs.fleet_report` renders audit reports from the loaded
+records.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, ClassVar, Optional
+
+from .metrics import Tally
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -57,6 +60,11 @@ __all__ = [
 #: they understand (see ``read_events``), so schema breakage fails fast
 #: instead of silently mis-rendering.
 SCHEMA_VERSION = 1
+
+_TORN_TAIL = Tally(
+    "journal.torn_tail",
+    "undecodable final journal lines skipped (a crash mid-append)",
+)
 
 #: Envelope keys the journal adds around an event's own fields.
 _ENVELOPE_KEYS = ("seq", "ts", "v", "type", "span_id", "span")
@@ -359,16 +367,23 @@ def read_events(source: str) -> list[dict]:
     understands raise ``ValueError`` (fail fast on version skew); records
     from older versions load as-is -- version-1 fields are append-only, so
     old records stay renderable.
+
+    A crash mid-append leaves a final line without its trailing newline;
+    when that line does not decode it is skipped and counted as
+    ``journal.torn_tail``.  An undecodable line anywhere else raises.
     """
     records: list[dict] = []
     with open(source) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):     # only the last line can lack it
+                    _TORN_TAIL.n += 1
+                    break
                 raise ValueError(
                     f"{source}:{lineno}: not a JSON record: {exc}"
                 ) from exc

@@ -25,10 +25,12 @@ __all__ = ["render_fleet_report", "fleet_report_data"]
 #: Sequence-ordered record list -> structured report sections.
 
 
-def fleet_report_data(records: list[dict]) -> dict:
-    """The ``--json`` shape: structured sections from journal records."""
+def fleet_report_data(records: list[dict], torn_tail: int = 0) -> dict:
+    """The ``--json`` shape: structured sections from journal records
+    (*torn_tail*: undecodable final lines the reader skipped)."""
     return {
         "events": len(records),
+        "torn_tail": torn_tail,
         "types": _type_counts(records),
         "cycles": _cycles(records),
         "decisions": _decisions(records),
@@ -38,9 +40,9 @@ def fleet_report_data(records: list[dict]) -> dict:
     }
 
 
-def render_fleet_report(records: list[dict]) -> str:
+def render_fleet_report(records: list[dict], torn_tail: int = 0) -> str:
     """Human-readable fleet health report."""
-    data = fleet_report_data(records)
+    data = fleet_report_data(records, torn_tail)
     sections = [
         _render_header(records, data),
         _render_cycles(data["cycles"]),
@@ -194,11 +196,17 @@ def _estimate_errors(records: list[dict], limit: int = 10) -> list[dict]:
 
 
 def _render_header(records: list[dict], data: dict) -> str:
+    torn = ""
+    if data["torn_tail"]:
+        torn = (
+            f"\n  torn tail: {data['torn_tail']} undecodable final line "
+            "skipped (crash mid-append)"
+        )
     if not records:
-        return "journal: empty (no events)"
+        return "journal: empty (no events)" + torn
     lo, hi = records[0]["seq"], records[-1]["seq"]
     counts = ", ".join(f"{k}={v}" for k, v in data["types"].items())
-    return f"journal: {len(records)} events (seq {lo}..{hi})\n  {counts}"
+    return f"journal: {len(records)} events (seq {lo}..{hi})\n  {counts}{torn}"
 
 
 def _render_cycles(cycles: list[dict]) -> str:

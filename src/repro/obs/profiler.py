@@ -34,6 +34,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from .atomic import write_atomic
 from .metrics import gauge
 
 __all__ = [
@@ -248,8 +249,7 @@ class SamplingProfiler:
         return "\n".join(lines)
 
     def write_collapsed(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.collapsed() + "\n")
+        write_atomic(path, lambda fh: fh.write(self.collapsed() + "\n"))
 
     def top_frames(self, n: int = 10) -> list[dict]:
         """Hottest frames by *self* (leaf) samples."""

@@ -35,6 +35,7 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
+from .atomic import write_atomic
 from .metrics import get_registry
 
 __all__ = [
@@ -224,10 +225,7 @@ class MetricsSnapshotBus:
     def write(self, path: Optional[str] = None) -> str:
         """Atomically publish the ring as one JSON document."""
         target = path or self.path or default_status_path()
-        tmp = f"{target}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_dict(), fh, default=str)
-        os.replace(tmp, target)
+        write_atomic(target, lambda fh: json.dump(self.to_dict(), fh, default=str))
         return target
 
 

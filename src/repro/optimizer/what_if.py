@@ -26,13 +26,11 @@ tiered fast path:
   (``used(C) ⊆ C'``) -- is optimal under ``C'`` too.
 
 Both tiers are bounded; evictions and hits are exported as ``whatif.*``
-counters (docs/OBSERVABILITY.md).  Set ``REPRO_WHATIF_FASTPATH=0`` to
-fall back to the seed behaviour (exact table-projected cache only).
+counters (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Collection, Iterable, Optional
 
 from ..catalog import Index
@@ -61,11 +59,6 @@ _CANONICAL_HITS = Tally(
 _EVICTIONS = Tally("whatif.cache_evictions", "what-if plan cache LRU evictions")
 
 
-def fast_path_default() -> bool:
-    """The process default for the what-if fast path (env-overridable)."""
-    return os.environ.get("REPRO_WHATIF_FASTPATH", "1") != "0"
-
-
 class CostEvaluator:
     """Cached what-if cost evaluation over a database.
 
@@ -76,12 +69,6 @@ class CostEvaluator:
             clustered PKs plus the hypothetical configuration exist.  When
             True, the database's current secondary indexes stay visible
             (continuous-tuning mode).
-        fast_path: enable relevance pruning + the canonical cache tier.
-            ``None`` reads the ``REPRO_WHATIF_FASTPATH`` env default
-            (:func:`fast_path_default`); False reproduces the seed's
-            exact-cache-only behaviour.
-        jobs: default process fan-out for :meth:`workload_cost` (1 =
-            serial; the pool is created lazily on first parallel call).
         max_cache_entries: L1 LRU bound.
     """
 
@@ -89,11 +76,8 @@ class CostEvaluator:
         self,
         db: Database,
         include_schema_indexes: bool = False,
-        fast_path: Optional[bool] = None,
-        jobs: int = 1,
         max_cache_entries: int = DEFAULT_PLAN_CACHE_SIZE,
     ):
-        self._include_schema_indexes = include_schema_indexes
         if include_schema_indexes:
             self._db = db
         else:
@@ -101,16 +85,11 @@ class CostEvaluator:
             for index in self._db.schema.indexes():
                 self._db.schema.drop_index(index)
         self.optimizer = Optimizer(self._db)
-        self.fast_path = (
-            fast_path_default() if fast_path is None else bool(fast_path)
-        )
-        self.jobs = max(1, int(jobs))
         self._plan_cache: LRUCache = LRUCache(
             max_cache_entries, on_evict=self._record_eviction
         )
         # sql -> [(used keys, config keys, plan), ...] newest last.
         self._canonical: dict[str, list[tuple[frozenset, frozenset, Plan]]] = {}
-        self._pool = None                 # lazy ParallelCoster
         self.cache_hits = 0
         self.canonical_hits = 0
         self.cache_evictions = 0
@@ -119,8 +98,7 @@ class CostEvaluator:
 
     @property
     def optimizer_calls(self) -> int:
-        """Number of *uncached* optimizer invocations so far (worker
-        processes' invocations are merged in by parallel costing)."""
+        """Number of *uncached* optimizer invocations so far."""
         return self.optimizer.calls
 
     def _record_eviction(self, _key, _plan) -> None:
@@ -151,7 +129,7 @@ class CostEvaluator:
         the dataless flag)."""
         if not config:
             return []
-        if self.fast_path and isinstance(info.stmt, ast.Select):
+        if isinstance(info.stmt, ast.Select):
             usable = info.usable_columns()
             return [
                 idx
@@ -175,7 +153,7 @@ class CostEvaluator:
             _CACHE_HITS.n += 1
             return cached
         is_select = isinstance(info.stmt, ast.Select)
-        if self.fast_path and is_select and relevant:
+        if is_select and relevant:
             canonical = self._canonical_lookup(sql, relevant_keys)
             if canonical is not None:
                 self.cache_hits += 1
@@ -189,7 +167,7 @@ class CostEvaluator:
             info, extra_indexes=[idx.as_dataless() for idx in relevant]
         )
         self._plan_cache.put(key, plan)
-        if self.fast_path and is_select and relevant:
+        if is_select and relevant:
             used_keys = frozenset(
                 idx.key for idx in relevant if idx.name in plan.used_indexes
             )
@@ -243,103 +221,17 @@ class CostEvaluator:
         self,
         queries: Iterable[tuple[Statement, float]],
         config: Collection[Index] = (),
-        jobs: Optional[int] = None,
     ) -> float:
-        """Weighted workload cost: ``sum w_q * cost(q, X)`` (Eq. 1).
-
-        With ``jobs > 1`` the per-query plans are computed by a process
-        pool (deterministic chunking; the weighted sum is accumulated in
-        the original query order, so the result is bit-identical to the
-        serial one).  Workers ship their new plan-cache entries back, so
-        later serial lookups still hit.
-        """
-        items = list(queries)
-        n_jobs = self.jobs if jobs is None else max(1, int(jobs))
+        """Weighted workload cost: ``sum w_q * cost(q, X)`` (Eq. 1)."""
         with profile("whatif.workload_cost"):
-            if n_jobs > 1 and len(items) > 1:
-                costs = self._parallel_costs(items, config, n_jobs)
-                if costs is not None:
-                    return sum(
-                        weight * cost
-                        for (_stmt, weight), cost in zip(items, costs)
-                    )
             return sum(
-                weight * self.cost(stmt, config) for stmt, weight in items
+                weight * self.cost(stmt, config) for stmt, weight in queries
             )
-
-    def _parallel_costs(
-        self,
-        items: list[tuple[Statement, float]],
-        config: Collection[Index],
-        jobs: int,
-    ) -> Optional[list[float]]:
-        """Fan one workload costing out to the process pool.
-
-        Returns None (fall back to serial) when the pool cannot be used,
-        e.g. statements that are not picklable as SQL text.
-        """
-        from .parallel import ParallelCoster
-
-        # Serve items this evaluator has already planned locally and ship
-        # only the misses: warm costings never touch the pool, and the
-        # (worker-affinity-dependent) duplicated work across workers is
-        # limited to genuinely new (statement, config) pairs.
-        resolved: list[Optional[float]] = [None] * len(items)
-        sqls: list[str] = []
-        miss_at: list[int] = []
-        for i, (stmt, _weight) in enumerate(items):
-            info = self.analyze(stmt)
-            relevant_keys = frozenset(
-                idx.key for idx in self._relevant(info, config)
-            )
-            sql = info.cache_sql or info.stmt.to_sql()
-            if (sql, relevant_keys) in self._plan_cache:
-                resolved[i] = self.cost(info, config)
-            else:
-                sqls.append(sql)
-                miss_at.append(i)
-        if not sqls:
-            return resolved
-        if len(sqls) < 2:
-            for i in miss_at:
-                stmt, _weight = items[i]
-                resolved[i] = self.cost(stmt, config)
-            return resolved
-        if self._pool is None:
-            self._pool = ParallelCoster(
-                self._db,
-                include_schema_indexes=self._include_schema_indexes,
-                fast_path=self.fast_path,
-                jobs=jobs,
-            )
-        costs, stats, exported = self._pool.costs(sqls, list(config), jobs)
-        if costs is None:
-            return None
-        # Merge worker work back into this evaluator's accounting/caches
-        # (the pool already merged the workers' registry deltas).
-        self.optimizer.calls += stats.get("optimizer_calls", 0)
-        self.cache_hits += stats.get("cache_hits", 0)
-        self.canonical_hits += stats.get("canonical_hits", 0)
-        self.cache_evictions += stats.get("cache_evictions", 0)
-        for sql, config_keys, used_keys, plan in exported:
-            self._plan_cache.put((sql, config_keys), plan)
-            if used_keys is not None:
-                self._canonical_store(sql, used_keys, config_keys, plan)
-        for i, cost in zip(miss_at, costs):
-            resolved[i] = cost
-        return resolved
 
     def close(self) -> None:
-        """Shut down the parallel pool (if one was started)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __del__(self):   # pragma: no cover - interpreter-shutdown ordering
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Release evaluator resources.  The evaluator holds none beyond
+        its in-memory caches, so this is a no-op kept for callers that
+        close what they open."""
 
     # -- introspection ------------------------------------------------------
 

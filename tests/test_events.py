@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
+
 from repro.catalog import Index
+from repro.cli import main
 from repro.core import AimAdvisor
 from repro.core.continuous import ContinuousTuner
 from repro.obs import (
@@ -167,6 +174,52 @@ def test_read_events_rejects_bad_json_and_missing_version(tmp_path):
     path.write_text(json.dumps({"seq": 0, "type": "cycle_start"}) + "\n")
     with pytest.raises(ValueError, match="schema version"):
         read_events(str(path))
+
+
+def test_read_events_rejects_corrupt_middle_line(tmp_path):
+    path = tmp_path / "corrupt.jsonl"
+    good = json.dumps({"seq": 0, "ts": 0.0, "v": SCHEMA_VERSION,
+                       "type": "cycle_start", "database": "x"})
+    path.write_text(good + "\n" + good[:12] + "\n" + good + "\n")
+    with pytest.raises(ValueError, match=":2: not a JSON record"):
+        read_events(str(path))
+
+
+_KILLED_MID_APPEND = """
+import json, os, signal, sys
+from repro.obs import CycleStart, EventJournal
+
+path = sys.argv[1]
+journal = EventJournal().bind(path)
+for i in range(3):
+    journal.emit(CycleStart(database=f"db{i}", queries=i))
+record = json.dumps({"seq": 3, "v": 1, "type": "cycle_start", "database": "db3"})
+with open(path, "a") as fh:
+    fh.write(record[: len(record) // 2])
+    fh.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_journal_of_process_killed_mid_append_still_loads(tmp_path, capsys):
+    path = tmp_path / "killed.jsonl"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_MID_APPEND, str(path)], env=env
+    )
+    assert proc.returncode == -signal.SIGKILL
+    assert not path.read_text().endswith("\n")
+
+    records = read_events(str(path))
+    assert [r["database"] for r in records] == ["db0", "db1", "db2"]
+
+    assert main(["fleet-report", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["events"] == 3
+    assert data["torn_tail"] == 1
+    assert main(["fleet-report", str(path)]) == 0
+    assert "torn tail: 1 undecodable final line" in capsys.readouterr().out
 
 
 # -- emitter integration ------------------------------------------------------

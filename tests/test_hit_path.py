@@ -94,18 +94,6 @@ def test_tally_counts_into_registry_current_at_the_event(tally):
     assert inner.snapshot()["counters"]["test.tally"] == {"kind=a": 10.0}
 
 
-def test_tally_deltas_ship_through_dump_and_merge(tally):
-    registry = get_registry()
-    registry.reset()
-    tally.by["x"] += 4
-    shipped = registry.dump_state()
-    registry.reset()
-    assert all(not value for _key, value in registry.dump_state()["counters"]["test.tally"])
-    parent = MetricsRegistry()
-    parent.merge_state(shipped)
-    assert parent.counter("test.tally").value(kind="x") == 4
-
-
 def test_concurrent_snapshots_lose_no_increment(tally):
     """The registry only reads a tally, so snapshots taken on another
     thread (the snapshot bus) cannot drop the hot path's increments."""

@@ -11,6 +11,8 @@ from repro.core import AimAdvisor
 from repro.engine import ExecutionMetrics, INNODB
 from repro.obs import (
     MetricsRegistry,
+    MetricsSnapshotBus,
+    SamplingProfiler,
     Tracer,
     get_registry,
     get_tracer,
@@ -160,6 +162,37 @@ def test_chrome_trace_file_round_trip(tmp_path, tracer):
     durations = {s.name: s.duration for s in originals}
     for name, span in by_name.items():
         assert span.dur_us == pytest.approx(durations[name] * 1e6, rel=1e-6)
+
+
+class _Unprintable:
+    def __str__(self) -> str:
+        raise RuntimeError("cannot serialize")
+
+
+def test_failed_exports_leave_previous_file_intact(tmp_path, tracer):
+    """A serialization error mid-dump keeps the old trace, profile and
+    status file, and leaves no temporary file behind."""
+    with tracer.span("advisor.recommend"):
+        pass
+    profiler = SamplingProfiler()
+    bus = MetricsSnapshotBus(path=str(tmp_path / "status.json"))
+    writers = {
+        "trace.json": tracer.write_chrome_trace,
+        "profile.collapsed": profiler.write_collapsed,
+        "status.json": bus.write,
+    }
+    for name, write in writers.items():
+        write(str(tmp_path / name))
+    before = {name: (tmp_path / name).read_text() for name in writers}
+
+    tracer.spans()[0].set(bad=_Unprintable())
+    profiler.collapsed = lambda: str(_Unprintable())
+    bus.to_dict = lambda: {"bad": _Unprintable()}
+    for name, write in writers.items():
+        with pytest.raises(RuntimeError, match="cannot serialize"):
+            write(str(tmp_path / name))
+        assert (tmp_path / name).read_text() == before[name], name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
 
 
 def test_nested_json_export(tracer):
@@ -426,7 +459,12 @@ def test_render_report_unknown_payload():
     assert "no telemetry" in render_report({"unrelated": 1})
 
 
-# -- histogram reservoir / registry state transfer ---------------------------
+# -- histogram reservoir ---------------------------------------------------
+
+
+def _retained(hist) -> dict:
+    """Each child's retained reservoir samples, by label key."""
+    return {key: list(child._samples) for key, child in hist.children().items()}
 
 
 def test_histogram_reservoir_deterministic():
@@ -436,17 +474,16 @@ def test_histogram_reservoir_deterministic():
         hist = registry.histogram("lat")
         for v in range(10_000):
             hist.observe(float(v), op="read")
-    dump_a = a.dump_state()["histograms"]["lat"]
-    dump_b = b.dump_state()["histograms"]["lat"]
-    assert dump_a == dump_b
+    retained_a = _retained(a.histogram("lat"))
+    assert retained_a == _retained(b.histogram("lat"))
     # A different label key reseeds, so its reservoir differs.
     c = MetricsRegistry()
     hist = c.histogram("lat")
     for v in range(10_000):
         hist.observe(float(v), op="write")
-    assert c.dump_state()["histograms"]["lat"][0][1]["samples"] != dump_a[0][1][
-        "samples"
-    ]
+    (samples_a,) = retained_a.values()
+    (samples_c,) = _retained(hist).values()
+    assert samples_c != samples_a
 
 
 def test_histogram_reset_reseeds_reservoir():
@@ -454,54 +491,9 @@ def test_histogram_reset_reseeds_reservoir():
     hist = registry.histogram("lat")
     for v in range(10_000):
         hist.observe(float(v))
-    first = registry.dump_state()
+    first, first_summary = _retained(hist), hist.summary()
     registry.reset()
     for v in range(10_000):
         hist.observe(float(v))
-    assert registry.dump_state() == first
-
-
-def test_dump_and_merge_state_counters_gauges():
-    src, dst = MetricsRegistry(), MetricsRegistry()
-    src.counter("calls").inc(7, kind="select")
-    src.counter("calls").inc(2, kind="update")
-    src.gauge("depth").set(3.5, queue="q")
-    dst.counter("calls").inc(1, kind="select")
-    dst.merge_state(src.dump_state())
-    assert dst.counter("calls").value(kind="select") == 8
-    assert dst.counter("calls").value(kind="update") == 2
-    assert dst.gauge("depth").value(queue="q") == 3.5
-
-
-def test_merge_state_histograms_keep_totals_exact():
-    src, dst = MetricsRegistry(), MetricsRegistry()
-    for v in range(1, 101):
-        src.histogram("lat").observe(float(v))
-    for v in range(101, 151):
-        dst.histogram("lat").observe(float(v))
-    dst.merge_state(src.dump_state())
-    summary = dst.histogram("lat").summary()
-    assert summary["count"] == 150
-    assert summary["sum"] == pytest.approx(sum(range(1, 151)))
-    assert summary["min"] == 1.0
-    assert summary["max"] == 150.0
-
-
-def test_merge_state_round_trip_is_lossless_below_cap():
-    """Below the sample cap dump/merge transfers the exact value set."""
-    src, dst = MetricsRegistry(), MetricsRegistry()
-    values = [float(v) for v in range(500)]
-    for v in values:
-        src.histogram("h").observe(v, op="x")
-    dst.merge_state(src.dump_state())
-    assert dst.histogram("h").summary(op="x") == src.histogram("h").summary(
-        op="x"
-    )
-
-
-def test_merge_state_empty_and_missing_sections():
-    registry = MetricsRegistry()
-    registry.merge_state({})   # must not raise
-    registry.counter("c").inc()
-    registry.merge_state({"counters": [], "gauges": [], "histograms": []})
-    assert registry.counter("c").value() == 1
+    assert _retained(hist) == first
+    assert hist.summary() == first_summary

@@ -1,20 +1,18 @@
-"""What-if fast-path equivalence: the caches must never change an answer.
+"""What-if cache equivalence: the caches must never change an answer.
 
-The canonical-cache/pruning tier (``fast_path``) and the process-pool
-costing are pure optimizations: every cost and every used-index subset
-they return must be bit-identical to the seed behaviour (exact cache
-only, serial).  These tests drive both through a 200-case ``repro.qa``
-corpus and through full advisor runs.
+Relevance pruning, the exact LRU and the canonical subset tier are pure
+optimizations: every cost and every used-index subset the evaluator
+returns must be bit-identical to an *uncached* optimizer planning the
+full configuration over the same bare schema.  These tests drive that
+comparison through a 200-case ``repro.qa`` corpus and check evaluator
+reuse across full advisor runs.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import ALL_ALGORITHMS
 from repro.baselines.cost_eval import candidate_pool
-from repro.core import AimAdvisor, AimConfig
-from repro.optimizer import CostEvaluator
+from repro.optimizer import CostEvaluator, Optimizer
 from repro.qa.generator import generate_case
 from repro.workload import Workload
 
@@ -28,28 +26,43 @@ def _corpus_case(seed: int):
     case = generate_case(seed)
     db = case.database(with_storage=False)
     workload = Workload.from_sql([(sql, 1.0) for sql in case.statements])
-    legacy = CostEvaluator(db, fast_path=False)
-    pool = candidate_pool(legacy, workload, max_width=2, with_permutations=False)
-    return case, db, legacy, pool[:MAX_POOL]
+    pool = candidate_pool(
+        CostEvaluator(db), workload, max_width=2, with_permutations=False
+    )
+    return case, db, pool[:MAX_POOL]
 
 
-def test_corpus_fast_path_equivalence():
-    """Cold, warm and canonical-hit costs match the seed bit for bit."""
+def _reference(db) -> Optimizer:
+    """An uncached optimizer over the bare schema the evaluator plans on."""
+    ref_db = db.stats_clone()
+    for index in ref_db.schema.indexes():
+        ref_db.schema.drop_index(index)
+    return Optimizer(ref_db)
+
+
+def test_corpus_matches_uncached_optimizer():
+    """Cold, warm and canonical-hit plans match an uncached optimizer on
+    the full configuration bit for bit: costs and used-index sets."""
     canonical_hits = 0
     for seed in range(CORPUS_CASES):
-        case, db, legacy, pool = _corpus_case(seed)
-        fast = CostEvaluator(db, fast_path=True)
+        case, db, pool = _corpus_case(seed)
+        ref = _reference(db)
+        ev = CostEvaluator(db)
         # Full pool first so subset lookups can hit the canonical tier.
         for config in (pool, pool[::2], []):
             for sql in case.statements:
-                expected = legacy.cost(sql, config)
-                assert fast.cost(sql, config) == expected, (seed, sql)
+                plan = ref.explain(
+                    sql, extra_indexes=[i.as_dataless() for i in config]
+                )
+                assert ev.cost(sql, config) == plan.total_cost, (seed, sql)
                 # Warm: the second identical request is a pure cache hit.
-                assert fast.cost(sql, config) == expected, (seed, sql)
-                used_legacy = {i.key for i in legacy.used_subset(sql, config)}
-                used_fast = {i.key for i in fast.used_subset(sql, config)}
-                assert used_fast == used_legacy, (seed, sql)
-        canonical_hits += fast.canonical_hits
+                assert ev.cost(sql, config) == plan.total_cost, (seed, sql)
+                used = {i.key for i in config if i.name in plan.used_indexes}
+                assert {i.key for i in ev.used_subset(sql, config)} == used, (
+                    seed,
+                    sql,
+                )
+        canonical_hits += ev.canonical_hits
     # The corpus actually exercises the canonical subset rule.
     assert canonical_hits > 0
 
@@ -58,15 +71,15 @@ def test_corpus_lru_eviction_invariance():
     """A tiny LRU bound evicts constantly but never changes a cost."""
     total_evictions = 0
     for seed in range(0, CORPUS_CASES, 10):
-        case, db, legacy, pool = _corpus_case(seed)
-        small = CostEvaluator(db, fast_path=True, max_cache_entries=2)
+        case, db, pool = _corpus_case(seed)
+        ref = _reference(db)
+        small = CostEvaluator(db, max_cache_entries=2)
         for _round in range(2):
             for config in (pool, pool[::2], []):
+                dataless = [i.as_dataless() for i in config]
                 for sql in case.statements:
-                    assert small.cost(sql, config) == legacy.cost(sql, config), (
-                        seed,
-                        sql,
-                    )
+                    expected = ref.explain(sql, extra_indexes=dataless).total_cost
+                    assert small.cost(sql, config) == expected, (seed, sql)
         total_evictions += small.cache_evictions
     assert total_evictions > 0
 
@@ -82,61 +95,12 @@ def _workload() -> Workload:
     ])
 
 
-@pytest.mark.parametrize("name", ["autoadmin", "extend"])
-def test_parallel_algorithm_output_identical(db, name):
-    """jobs=4 selection is byte-identical to serial (indexes and costs)."""
-    serial = ALL_ALGORITHMS[name](db).select(_workload(), BUDGET)
-    parallel_algo = ALL_ALGORITHMS[name](db)
-    parallel_algo.jobs = 4
-    parallel = parallel_algo.select(_workload(), BUDGET)
-    assert [i.key for i in parallel.indexes] == [i.key for i in serial.indexes]
-    assert parallel.cost_before == serial.cost_before
-    assert parallel.cost_after == serial.cost_after
-
-
-def test_parallel_advisor_output_identical(db):
-    """AimConfig(jobs=4) recommends exactly what the serial advisor does."""
-    serial = AimAdvisor(db, AimConfig(jobs=1)).recommend(_workload(), BUDGET)
-    parallel = AimAdvisor(db, AimConfig(jobs=4)).recommend(_workload(), BUDGET)
-    assert [r.index.key for r in parallel.created] == [
-        r.index.key for r in serial.created
-    ]
-    assert parallel.cost_before == serial.cost_before
-    assert parallel.cost_after == serial.cost_after
-
-
-def test_parallel_workload_cost_identical(db):
-    """workload_cost(jobs=4) equals the serial sum bit for bit."""
-    pairs = list(_workload().pairs())
-    config = candidate_pool(
-        CostEvaluator(db), _workload(), max_width=2, with_permutations=False
-    )
-    serial = CostEvaluator(db)
-    parallel = CostEvaluator(db, jobs=4)
-    try:
-        assert parallel.workload_cost(pairs, config) == serial.workload_cost(
-            pairs, config
-        )
-        # Warm parallel costing is served from the merged-back caches.
-        calls = parallel.optimizer.calls
-        assert parallel.workload_cost(pairs, config) == serial.workload_cost(
-            pairs, config
-        )
-        assert parallel.optimizer.calls == calls
-    finally:
-        parallel.close()
-        serial.close()
-
-
 def test_evaluator_reuse_counts_per_run(db):
     """A reused evaluator keeps its caches; per-run call counts are deltas."""
     algo = ALL_ALGORITHMS["autoadmin"](db)
     evaluator = CostEvaluator(db, include_schema_indexes=False)
-    try:
-        cold = algo.select(_workload(), BUDGET, evaluator=evaluator)
-        warm = algo.select(_workload(), BUDGET, evaluator=evaluator)
-    finally:
-        evaluator.close()
+    cold = algo.select(_workload(), BUDGET, evaluator=evaluator)
+    warm = algo.select(_workload(), BUDGET, evaluator=evaluator)
     assert [i.key for i in warm.indexes] == [i.key for i in cold.indexes]
     assert warm.cost_after == cold.cost_after
     assert cold.optimizer_calls > 0
