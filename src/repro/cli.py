@@ -27,13 +27,13 @@ Subcommands (the bare flag form above implies ``advise``):
   ``--oracles``, ``--shrink``); failing cases are minimized and written
   to ``qa_failures/`` and re-run with ``--replay FILE``.  See
   ``docs/TESTING.md``.
-* ``top`` -- live dashboard over the status snapshots an instrumented
-  run publishes (``advise`` publishes them automatically; ``--once``
+* ``top`` -- live dashboard over the status document an instrumented
+  run publishes (``advise`` publishes it automatically; ``--once``
   prints a single frame, ``--serve PORT`` exposes the JSON over HTTP).
 
 ``advise`` additionally takes ``--profile FILE`` to run the sampling
 profiler and write collapsed stacks (``flamegraph.pl`` input), and
-``--status FILE`` to publish dashboard snapshots somewhere other than
+``--status FILE`` to publish the status document somewhere other than
 the default path ``repro top`` watches.
 
 Workload file format: statements separated by ``;``.  A comment line
@@ -62,7 +62,7 @@ from .core import AimAdvisor, AimConfig
 from .engine import Database, INNODB, INNODB_HDD, ROCKSDB
 from .executor import Executor, render_explain_analyze
 from .obs import (
-    MetricsSnapshotBus,
+    StatusWriter,
     default_status_path,
     disable_profiler,
     enable_profiler,
@@ -70,7 +70,6 @@ from .obs import (
     get_tracer,
     profile,
     read_events,
-    set_bus,
     telemetry_snapshot,
 )
 from .obs.fleet_report import fleet_report_data, render_fleet_report
@@ -271,9 +270,9 @@ def make_parser() -> argparse.ArgumentParser:
                         help="run the sampling profiler and write "
                              "collapsed stacks (flamegraph.pl input)")
     parser.add_argument("--status", default=None, metavar="FILE",
-                        help="publish live status snapshots for `repro "
-                             "top` to this file (default: the shared "
-                             "temp-dir path)")
+                        help="publish the live status document for "
+                             "`repro top` to this file (default: the "
+                             "shared temp-dir path)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -550,26 +549,24 @@ def fuzz(argv: Sequence[str]) -> int:
 def _observed_advise(args) -> Iterator[None]:
     """The advise run's observability harness.
 
-    Publishes status snapshots for ``repro top`` (to ``--status`` or the
-    shared default path) for the duration of the run, and -- with
+    Publishes the status document for ``repro top`` (to ``--status`` or
+    the shared default path) for the duration of the run, and -- with
     ``--profile FILE`` -- runs the sampling profiler and writes its
     collapsed stacks when the run finishes.
     """
     if args.profile:
         enable_profiler()
-    bus = MetricsSnapshotBus(
-        interval=0.5,
-        path=args.status or default_status_path(),
+    writer = StatusWriter(
+        args.status or default_status_path(),
         source=f"advise:{args.algorithm}",
+        interval=0.5,
     )
-    set_bus(bus)
-    bus.start()
+    writer.start()
     try:
         with profile("cli.advise"):
             yield
     finally:
-        bus.stop(final_capture=True)
-        set_bus(None)
+        writer.stop()
         if args.profile:
             profiler = disable_profiler()
             if profiler is not None:

@@ -29,7 +29,6 @@ from ..engine import Database
 from ..obs import (
     AdvisorDecision,
     Span,
-    capture_now,
     emit,
     get_registry,
     profile,
@@ -88,8 +87,6 @@ def advisor_phase(name: str, evaluator: CostEvaluator) -> Iterator[Span]:
                 "optimizer invocations per advisor phase",
             ).observe(delta, phase=phase)
             active.set(0, phase=phase)
-            # A phase boundary is a natural dashboard refresh point.
-            capture_now()
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,14 @@ from typing import Optional
 
 from ..catalog import Index
 from ..obs import RegressionFlagged, Tally, emit
-from ..sqlparser import ast, parse
+from ..sqlparser import LexError, ParseError, ast, parse
 from ..workload import WorkloadMonitor
 
 _WINDOWS = Tally("regression.windows_observed", "observation windows processed")
 _EVENTS = Tally("regression.events_detected", "per-query regressions flagged")
+_UNPARSED = Tally(
+    "regression.unparsed_sql", "query texts skipped for suspect attribution"
+)
 
 
 def _referenced_tables(*sql_texts: str) -> set[str]:
@@ -28,7 +31,7 @@ def _referenced_tables(*sql_texts: str) -> set[str]:
     table's name happens to occur inside another identifier or a string
     literal (``user`` vs ``user_events``), mis-attributing regressions to
     innocent indexes.  Parsing sidesteps that; unparseable text
-    contributes nothing.
+    contributes nothing and is counted as ``regression.unparsed_sql``.
     """
     tables: set[str] = set()
     for sql in sql_texts:
@@ -36,7 +39,8 @@ def _referenced_tables(*sql_texts: str) -> set[str]:
             continue
         try:
             stmt = parse(sql)
-        except Exception:
+        except (ParseError, LexError):
+            _UNPARSED.n += 1
             continue
         if isinstance(stmt, ast.Select):
             tables.update(ref.name for ref in stmt.all_table_refs())

@@ -64,15 +64,11 @@ from .profiler import (
     set_profiler,
 )
 from .snapshots import (
-    MetricsSnapshotBus,
-    capture_now,
-    counter_deltas,
+    StatusWriter,
     counter_rates,
     default_status_path,
-    get_bus,
     load_status,
     serve_status,
-    set_bus,
 )
 from .tracer import (
     Span,
@@ -98,25 +94,21 @@ __all__ = [
     "OracleViolation",
     "PlanEstimate",
     "RegressionFlagged",
-    "MetricsSnapshotBus",
     "SamplingProfiler",
     "Span",
+    "StatusWriter",
     "Tally",
     "Tracer",
     "WorkloadDigest",
-    "capture_now",
-    "counter_deltas",
     "counter_rates",
     "default_status_path",
     "disable_profiler",
     "enable_profiler",
-    "get_bus",
     "get_profiler",
     "load_status",
     "profile",
     "profiler_from_env",
     "serve_status",
-    "set_bus",
     "set_profiler",
     "counter",
     "decode_event",

@@ -28,6 +28,7 @@ records.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -271,10 +272,17 @@ class EventJournal:
     # -- sink management -----------------------------------------------------
 
     def bind(self, path: str) -> "EventJournal":
-        """Attach (or switch) the durable JSONL sink."""
+        """Attach (or switch) the durable JSONL sink.
+
+        Resuming a journal whose final line lacks its newline (a crash
+        mid-append) first mends that line, so the next record starts a
+        line of its own: a line that decodes gets its newline, one that
+        does not is cut off and counted as ``journal.torn_tail``.
+        """
         with self._lock:
             if self._fh is not None:
                 self._fh.close()
+            _mend_final_line(path)
             self._fh = open(path, "a")
         return self
 
@@ -345,6 +353,40 @@ class EventJournal:
             self._records.clear()
             self._seq = 0
             self.dropped = 0
+
+
+def _mend_final_line(path: str) -> None:
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        fh.seek(end - 1)
+        if fh.read(1) == b"\n":
+            return
+        # Walk back to the start of the final line.
+        start = end
+        while start > 0:
+            step = min(start, 1 << 16)
+            fh.seek(start - step)
+            newline = fh.read(step).rfind(b"\n")
+            if newline >= 0:
+                start = start - step + newline + 1
+                break
+            start -= step
+        fh.seek(start)
+        try:
+            complete = isinstance(json.loads(fh.read()), dict)
+        except ValueError:
+            complete = False
+        if complete:
+            fh.write(b"\n")
+        else:
+            fh.truncate(start)
+            _TORN_TAIL.n += 1
 
 
 def _jsonable_payload(payload: dict) -> dict:

@@ -20,7 +20,7 @@ report (the replay-determinism property ``tests/test_events.py`` pins).
 
 from __future__ import annotations
 
-__all__ = ["render_fleet_report", "fleet_report_data"]
+__all__ = ["render_fleet_report", "fleet_report_data", "event_line"]
 
 #: Sequence-ordered record list -> structured report sections.
 
@@ -46,8 +46,8 @@ def render_fleet_report(records: list[dict], torn_tail: int = 0) -> str:
     sections = [
         _render_header(records, data),
         _render_cycles(data["cycles"]),
-        _render_decisions(data["decisions"]),
-        _render_regressions(data["regressions"]),
+        _render_decisions(records),
+        _render_regressions(records),
         _render_digests(data["digests"]),
         _render_estimate_errors(data["estimate_errors"]),
     ]
@@ -245,46 +245,56 @@ def _seq_range(cycle: dict) -> str:
     return f"{start}..{end}"
 
 
-def _render_decisions(decisions: list[dict]) -> str:
-    if not decisions:
-        return ""
-    lines = ["decision audit:"]
-    for d in decisions:
-        mark = "+" if d["action"] == "accepted" else "-"
-        db = f" [{d['database']}]" if d["database"] else ""
+def event_line(record: dict) -> str:
+    """One journal record as one report line (the decision audit and
+    regression timeline here, the journal tail in ``repro top``)."""
+    etype = record.get("type", "?")
+    db = f" [{record['database']}]" if record.get("database") else ""
+    head = f"  [{record.get('seq', '?'):>5}]{db}"
+    if etype == "advisor_decision":
+        accepted = record.get("action") == "accepted"
         detail = ""
-        if d["action"] == "accepted":
+        if accepted:
             detail = (
-                f"  (benefit {d['benefit']:.3f}, "
-                f"maintenance {d['maintenance']:.3f})"
+                f"  (benefit {record.get('benefit', 0.0):.3f}, "
+                f"maintenance {record.get('maintenance', 0.0):.3f})"
             )
-        lines.append(
-            f"  [{d['seq']:>5}]{db} {mark} {d['index']}: "
-            f"{d['reason']}{detail}"
+        return (
+            f"{head} {'+' if accepted else '-'} {record.get('index', '')}: "
+            f"{record.get('reason', '')}{detail}"
         )
-    return "\n".join(lines)
+    if etype == "regression_flagged":
+        return (
+            f"{head} REGRESSED x{record.get('ratio', 1.0):.2f} "
+            f"(cpu {record.get('before_cpu_avg', 0.0):.4g} -> "
+            f"{record.get('after_cpu_avg', 0.0):.4g}): "
+            f"{_truncate(record.get('normalized_sql', ''))}"
+        )
+    if etype == "index_rollback":
+        return (
+            f"{head} ROLLBACK {record.get('index', '')} "
+            f"({record.get('reason', '')})"
+        )
+    detail = [str(record[k]) for k in ("action", "index", "oracle") if record.get(k)]
+    return " ".join([f"{head} {etype}"] + detail)
 
 
-def _render_regressions(timeline: list[dict]) -> str:
+def _render_decisions(records: list[dict]) -> str:
+    lines = [event_line(r) for r in records if r["type"] == "advisor_decision"]
+    return "\n".join(["decision audit:"] + lines) if lines else ""
+
+
+def _render_regressions(records: list[dict]) -> str:
     lines = ["regression timeline:"]
-    if not timeline:
-        lines.append("  (no regressions observed)")
-        return "\n".join(lines)
-    for event in timeline:
-        db = f" [{event['database']}]" if event["database"] else ""
-        if event["kind"] == "regression":
-            suspects = ", ".join(event["suspects"]) or "(none)"
-            lines.append(
-                f"  [{event['seq']:>5}]{db} REGRESSED x{event['ratio']:.2f} "
-                f"(cpu {event['before']:.4g} -> {event['after']:.4g}): "
-                f"{_truncate(event['sql'])}"
-            )
+    for record in records:
+        if record["type"] == "regression_flagged":
+            suspects = ", ".join(record.get("suspects", [])) or "(none)"
+            lines.append(event_line(record))
             lines.append(f"          suspects: {suspects}")
-        else:
-            lines.append(
-                f"  [{event['seq']:>5}]{db} ROLLBACK {event['index']} "
-                f"({event['reason']})"
-            )
+        elif record["type"] == "index_rollback":
+            lines.append(event_line(record))
+    if len(lines) == 1:
+        lines.append("  (no regressions observed)")
     return "\n".join(lines)
 
 

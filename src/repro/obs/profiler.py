@@ -15,8 +15,12 @@ Exports:
 * ``collapsed()`` -- one ``frame;frame;frame count`` line per distinct
   stack, the format ``flamegraph.pl`` and speedscope import directly;
 * ``to_dict()`` -- JSON summary (top frames, per-region sample counts,
-  overhead) embedded into telemetry snapshots and the ``repro top``
-  status feed.
+  overhead, nominal and achieved sampling rate) embedded into telemetry
+  snapshots and so into the ``repro top`` status document.
+
+Threads the observability layer owns (named with :data:`OBS_THREAD_PREFIX`:
+the sampler itself, the status writer) are never sampled, so their
+stacks do not pose as the profiled program's.
 
 The process-wide instance (:func:`get_profiler`) is ``None`` until
 someone opts in (:func:`enable_profiler`, ``repro advise --profile``, or
@@ -61,6 +65,9 @@ DEFAULT_MAX_DEPTH = 64
 
 OVERFLOW_FRAME = "<overflow>"
 
+#: Name prefix of every thread the observability layer starts.
+OBS_THREAD_PREFIX = "repro-"
+
 
 def _frame_label(code) -> str:
     """``module.qualname`` for one frame (line numbers would explode
@@ -100,6 +107,7 @@ class SamplingProfiler:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.samples = 0
+        self.ticks = 0
         self.truncated = 0
         self._sampling_seconds = 0.0
         self._wall_seconds = 0.0
@@ -146,6 +154,7 @@ class SamplingProfiler:
             self._stacks.clear()
             self._region_counts.clear()
             self.samples = 0
+            self.ticks = 0
             self.truncated = 0
             self._sampling_seconds = 0.0
             self._wall_seconds = 0.0
@@ -155,23 +164,28 @@ class SamplingProfiler:
     # -- sampling -------------------------------------------------------------
 
     def _run(self) -> None:
-        own = threading.get_ident()
-        while not self._stop.is_set():
+        # A tick fires at the end of its interval, so ticks / wall time
+        # never exceeds the nominal rate.
+        took = 0.0
+        while not self._stop.wait(max(0.0, self._interval - took)):
             t0 = time.perf_counter()
-            self._sample(own)
+            self._sample()
             took = time.perf_counter() - t0
             with self._lock:
                 self._sampling_seconds += took
-            delay = self._interval - took
-            if delay > 0:
-                self._stop.wait(delay)
+                self.ticks += 1
 
-    def _sample(self, own_ident: int) -> None:
+    def _sample(self) -> None:
         frames = sys._current_frames()
+        skip = {
+            thread.ident
+            for thread in threading.enumerate()
+            if thread.name.startswith(OBS_THREAD_PREFIX)
+        }
         with self._lock:
             region = self._regions[-1] if self._regions else ""
             for ident, frame in frames.items():
-                if ident == own_ident:
+                if ident in skip:
                     continue
                 stack: list[str] = []
                 depth = 0
@@ -225,6 +239,12 @@ class SamplingProfiler:
         return self._wall_seconds + live
 
     @property
+    def achieved_hz(self) -> float:
+        """Sampling ticks per second of profiled wall time."""
+        wall = self.wall_seconds
+        return self.ticks / wall if wall > 0 else 0.0
+
+    @property
     def overhead_pct(self) -> float:
         """Sampler GIL time as a percentage of profiled wall time."""
         wall = self.wall_seconds
@@ -276,6 +296,7 @@ class SamplingProfiler:
             distinct = len(self._stacks)
         return {
             "hz": self.hz,
+            "achieved_hz": self.achieved_hz,
             "samples": self.samples,
             "distinct_stacks": distinct,
             "truncated": self.truncated,

@@ -14,7 +14,13 @@ from typing import Any
 
 from .tracer import ChromeSpan, load_chrome_trace
 
-__all__ = ["render_report"]
+__all__ = [
+    "render_report",
+    "render_phases",
+    "render_whatif",
+    "render_profiler",
+    "render_fallbacks",
+]
 
 
 def render_report(payload: Any) -> str:
@@ -107,37 +113,13 @@ def _render_span_trees(spans: list[dict]) -> str:
 
 def _render_telemetry(telemetry: dict) -> str:
     metrics = telemetry.get("metrics", telemetry)
-    sections: list[str] = []
-
-    spans = telemetry.get("spans")
-    if isinstance(spans, dict) and spans:
-        lines = [
-            "phases:",
-            _row("span", "count", "total ms", "max ms", "opt calls"),
-            "-" * 74,
-        ]
-        for name, entry in sorted(
-            spans.items(), key=lambda kv: -kv[1].get("total_seconds", 0.0)
-        ):
-            calls = (entry.get("attrs") or {}).get("optimizer_calls")
-            lines.append(
-                _row(
-                    name,
-                    entry.get("count", 0),
-                    f"{entry.get('total_seconds', 0.0) * 1e3:.2f}",
-                    f"{entry.get('max_seconds', 0.0) * 1e3:.2f}",
-                    int(calls) if calls else "-",
-                )
-            )
-        sections.append("\n".join(lines))
-
     counters = metrics.get("counters") or {}
-    whatif = _render_whatif(counters)
-    if whatif:
-        sections.append(whatif)
-    profiler = _render_profiler(telemetry.get("profiler"))
-    if profiler:
-        sections.append(profiler)
+    sections = [
+        render_phases(telemetry.get("spans")),
+        render_whatif(counters),
+        render_profiler(telemetry.get("profiler")),
+        render_fallbacks(counters),
+    ]
     if counters:
         lines = ["counters:"]
         for name, by_label in sorted(counters.items()):
@@ -176,14 +158,42 @@ def _render_telemetry(telemetry: dict) -> str:
                 )
         sections.append("\n".join(lines))
 
-    return "\n\n".join(sections)
+    return "\n\n".join(s for s in sections if s)
+
+
+# -- telemetry sections (shared with ``repro top``) ---------------------------
+
+
+def render_phases(spans: Any) -> str:
+    """Per-span-name timing from a telemetry block's ``spans`` summary."""
+    if not isinstance(spans, dict) or not spans:
+        return ""
+    lines = [
+        "phases:",
+        _row("span", "count", "total ms", "max ms", "opt calls"),
+        "-" * 74,
+    ]
+    for name, entry in sorted(
+        spans.items(), key=lambda kv: -kv[1].get("total_seconds", 0.0)
+    ):
+        calls = (entry.get("attrs") or {}).get("optimizer_calls")
+        lines.append(
+            _row(
+                name,
+                entry.get("count", 0),
+                f"{entry.get('total_seconds', 0.0) * 1e3:.2f}",
+                f"{entry.get('max_seconds', 0.0) * 1e3:.2f}",
+                int(calls) if calls else "-",
+            )
+        )
+    return "\n".join(lines)
 
 
 def _counter_total(counters: dict, name: str) -> float:
     return sum((counters.get(name) or {}).values())
 
 
-def _render_whatif(counters: dict) -> str:
+def render_whatif(counters: dict) -> str:
     """The what-if cache headline: how rarely the optimizer was consulted."""
     evals = _counter_total(counters, "whatif.evaluations")
     if not evals:
@@ -205,14 +215,15 @@ def _render_whatif(counters: dict) -> str:
     return "\n".join(lines)
 
 
-def _render_profiler(profiler: Any) -> str:
+def render_profiler(profiler: Any) -> str:
     """Top sampled frames from an attached profiler summary."""
     if not isinstance(profiler, dict) or not profiler.get("samples"):
         return ""
     lines = [
         (
             f"profiler: {profiler.get('samples', 0)} samples at "
-            f"{profiler.get('hz', 0):g} Hz over "
+            f"{profiler.get('hz', 0):g} Hz nominal, "
+            f"{profiler.get('achieved_hz', 0.0):.1f} Hz achieved over "
             f"{profiler.get('wall_seconds', 0.0):.2f}s "
             f"(overhead {profiler.get('overhead_pct', 0.0):.2f}%)"
         ),
@@ -230,6 +241,22 @@ def _render_profiler(profiler: Any) -> str:
             + ", ".join(f"{name} ({count})" for name, count in hot[:5])
         )
     return "\n".join(lines)
+
+
+#: Counters of the fallbacks that keep a run going past a failure.
+FALLBACK_COUNTERS = (
+    ("status.write_failures", "status writes failed"),
+    ("regression.unparsed_sql", "unparsed regression texts"),
+    ("journal.torn_tail", "torn journal tails"),
+)
+
+
+def render_fallbacks(counters: dict) -> str:
+    """One line counting every fallback taken (zero included)."""
+    return "fallbacks: " + ", ".join(
+        f"{label} {_counter_total(counters, name):g}"
+        for name, label in FALLBACK_COUNTERS
+    )
 
 
 def _row(name: Any, count: Any, a: Any, b: Any, c: Any) -> str:

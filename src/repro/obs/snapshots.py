@@ -1,27 +1,22 @@
-"""Time-windowed metrics snapshots: the feed behind ``repro top``.
+"""The status document: the feed behind ``repro top``.
 
-:class:`MetricsSnapshotBus` keeps a ring buffer of periodic
-registry snapshots.  Each snapshot records the wall/monotonic capture
-time plus the full :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`,
-the tail of the decision journal, and the profiler summary when one is
-active -- everything a live dashboard needs.  Deltas and rates over the
-buffer turn cumulative counters into "optimizer calls per second" style
-readings without any server-side state.
+An instrumented run publishes one JSON document, rewritten whole:
 
-The bus has three consumers:
+``{format, v: 2, source, pid, started, ts, telemetry, journal_tail}``
 
-* an instrumented process starts it with ``interval=...`` and a status
-  *path*: every capture is atomically written as one JSON document, which
-  is how a *separate* ``repro top`` process observes the run (same
-  default path on both sides, override with ``REPRO_STATUS_FILE``);
-* ``repro top`` loads that document (:func:`load_status`) and renders it;
+``telemetry`` is :func:`~repro.obs.telemetry_snapshot` -- the same block
+bench results and ``advise --format json`` carry, so ``obs-report``
+renders a status file like any other telemetry artifact -- and
+``journal_tail`` holds the last :data:`JOURNAL_TAIL` journal records.
+
+* the run owns a :class:`StatusWriter`, which atomically rewrites the
+  document every ``interval`` seconds and once more on stop (same default
+  path on both sides, override with ``REPRO_STATUS_FILE``);
+* ``repro top`` loads it (:func:`load_status`) and renders it, turning
+  cumulative counters into per-second rates between two reads
+  (:func:`counter_rates`);
 * ``repro top --serve PORT`` exposes it over a stdlib ``http.server``
   JSON endpoint (:func:`serve_status`) for scraping.
-
-Like the tracer/registry/journal there is a process-wide instance
-(:func:`get_bus`); :func:`capture_now` is the cheap hook instrumented
-code calls at natural progress points (advisor phase ends, tuning-cycle
-ends) so even short runs leave a usable snapshot series.
 """
 
 from __future__ import annotations
@@ -31,35 +26,31 @@ import os
 import tempfile
 import threading
 import time
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from .atomic import write_atomic
-from .metrics import get_registry
+from .events import get_journal
+from .metrics import Tally
 
 __all__ = [
     "SNAPSHOT_FORMAT",
-    "MetricsSnapshotBus",
-    "counter_deltas",
+    "StatusWriter",
     "counter_rates",
     "default_status_path",
     "load_status",
-    "get_bus",
-    "set_bus",
-    "capture_now",
     "serve_status",
 ]
 
 SNAPSHOT_FORMAT = "repro.obs.snapshots"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
-#: Default ring capacity: at the default 1 s interval, four minutes of
-#: history -- enough for rate windows while keeping status files small.
-DEFAULT_CAPACITY = 240
-
-#: Journal records included per snapshot (the "journal tail").
+#: Journal records included per document (the "journal tail").
 JOURNAL_TAIL = 8
+
+_WRITE_FAILURES = Tally(
+    "status.write_failures", "status document writes that raised"
+)
 
 
 def default_status_path() -> str:
@@ -74,199 +65,94 @@ def default_status_path() -> str:
     )
 
 
-class MetricsSnapshotBus:
-    """Bounded ring of timestamped registry snapshots with delta/rate math.
+class StatusWriter:
+    """Publishes the status document to *path* while a run is going.
 
     Args:
-        capacity: snapshots retained (oldest evicted first).
-        interval: seconds between captures when :meth:`start` runs the
-            background sampler thread.
-        path: when set, every capture atomically rewrites this JSON file.
+        path: the status file, rewritten atomically on every write.
         source: free-form label for the producing run (shown by ``top``).
+        interval: seconds between writes of the background thread.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        interval: float = 1.0,
-        path: Optional[str] = None,
-        source: str = "",
-    ):
-        self.capacity = max(2, int(capacity))
-        self.interval = float(interval)
+    def __init__(self, path: str, source: str = "", interval: float = 1.0):
         self.path = path
         self.source = source
-        self.started_wall = time.time()
-        self._lock = threading.Lock()
-        self._snaps: deque[dict] = deque(maxlen=self.capacity)
-        self._extras_fns: list[Callable[[], dict]] = []
+        self.interval = float(interval)
+        self.started = time.time()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
-    def add_extras(self, fn: Callable[[], dict]) -> None:
-        """Attach a provider whose dict is merged into every snapshot's
-        ``extras`` (failures are swallowed -- telemetry must not break
-        the run it observes)."""
-        self._extras_fns.append(fn)
+    def document(self) -> dict:
+        """The current status document of this process."""
+        from . import telemetry_snapshot
 
-    # -- capture --------------------------------------------------------------
-
-    def capture(
-        self, now: Optional[float] = None, mono: Optional[float] = None
-    ) -> dict:
-        """Record one snapshot (timestamps injectable for tests)."""
-        snap: dict[str, Any] = {
-            "ts": time.time() if now is None else now,
-            "mono": time.perf_counter() if mono is None else mono,
-            "pid": os.getpid(),
-            "metrics": get_registry().snapshot(),
-        }
-        extras = self._default_extras()
-        for fn in self._extras_fns:
-            try:
-                extras.update(fn() or {})
-            except Exception:
-                pass
-        if extras:
-            snap["extras"] = extras
-        with self._lock:
-            self._snaps.append(snap)
-        return snap
-
-    def _default_extras(self) -> dict:
-        extras: dict[str, Any] = {}
-        from .events import get_journal
-
-        records = get_journal().records()
-        if records:
-            extras["journal_tail"] = records[-JOURNAL_TAIL:]
-        from .profiler import get_profiler
-
-        profiler = get_profiler()
-        if profiler is not None and profiler.samples:
-            extras["profiler"] = profiler.to_dict()
-        return extras
-
-    # -- inspection -----------------------------------------------------------
-
-    def snapshots(self) -> list[dict]:
-        with self._lock:
-            return list(self._snaps)
-
-    def latest(self) -> Optional[dict]:
-        with self._lock:
-            return self._snaps[-1] if self._snaps else None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._snaps)
-
-    def window(self, seconds: Optional[float] = None) -> list[dict]:
-        """Snapshots within the trailing *seconds* (all when None)."""
-        snaps = self.snapshots()
-        if seconds is None or not snaps:
-            return snaps
-        horizon = snaps[-1]["mono"] - seconds
-        return [s for s in snaps if s["mono"] >= horizon]
-
-    def deltas(self, seconds: Optional[float] = None) -> dict:
-        """Counter deltas between the edges of the trailing window."""
-        return counter_deltas(self.window(seconds))
-
-    def rates(self, seconds: Optional[float] = None) -> dict:
-        """Counter increments per second over the trailing window."""
-        return counter_rates(self.window(seconds))
-
-    # -- background sampling / persistence ------------------------------------
-
-    def start(self) -> None:
-        """Run capture (+ write, when a path is set) every ``interval``."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-snapshot-bus", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, final_capture: bool = True) -> None:
-        """Stop the sampler; by default take one last capture + write so
-        the status file reflects the finished run."""
-        thread = self._thread
-        if thread is not None:
-            self._stop.set()
-            thread.join()
-            self._thread = None
-        if final_capture:
-            self.capture()
-            if self.path:
-                self.write()
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self.capture()
-                if self.path:
-                    self.write()
-            except Exception:
-                pass
-            self._stop.wait(self.interval)
-
-    def to_dict(self) -> dict:
         return {
             "format": SNAPSHOT_FORMAT,
             "v": SNAPSHOT_VERSION,
             "source": self.source,
             "pid": os.getpid(),
-            "started": self.started_wall,
-            "snapshots": self.snapshots(),
+            "started": self.started,
+            "ts": time.time(),
+            "telemetry": telemetry_snapshot(),
+            "journal_tail": get_journal().records()[-JOURNAL_TAIL:],
         }
 
     def write(self, path: Optional[str] = None) -> str:
-        """Atomically publish the ring as one JSON document."""
-        target = path or self.path or default_status_path()
-        write_atomic(target, lambda fh: json.dump(self.to_dict(), fh, default=str))
+        """Atomically publish the current document."""
+        target = path or self.path
+        write_atomic(target, lambda fh: json.dump(self.document(), fh, default=str))
         return target
 
+    def start(self) -> None:
+        """Write every ``interval`` on a daemon thread (idempotent)."""
+        if self._thread is not None:
+            return
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-status-writer", daemon=True
+        )
+        self._thread.start()
 
-# -- delta/rate math over snapshot lists --------------------------------------
+    def stop(self) -> None:
+        """Stop the thread and write once more, so the file reflects the
+        finished run (a failure of this last write raises)."""
+        thread = self._thread
+        if thread is not None:
+            self._stop.set()
+            thread.join()
+            self._thread = None
+        self.write()
+
+    def _run(self) -> None:
+        while not self._stop.is_set():
+            try:
+                self.write()
+            except Exception:
+                # The dashboard feed must not end the run it observes;
+                # the count shows up in every later document.
+                _WRITE_FAILURES.n += 1
+            self._stop.wait(self.interval)
 
 
-def counter_deltas(snapshots: list[dict]) -> dict:
-    """Per-counter, per-label increments between the first and last
-    snapshot of *snapshots* (``{name: {label: delta}}``).
+def counter_rates(before: dict, after: dict, seconds: float) -> dict:
+    """Per-second increments between two counter snapshots
+    (``{name: {label: value}}``) taken *seconds* apart.
 
     A counter that shrank (producing process restarted) is treated the
     Prometheus way: the post-restart value *is* the delta.
     """
-    if len(snapshots) < 2:
+    if seconds <= 0:
         return {}
-    first = (snapshots[0].get("metrics") or {}).get("counters") or {}
-    last = (snapshots[-1].get("metrics") or {}).get("counters") or {}
     out: dict[str, dict[str, float]] = {}
-    for name, by_label in last.items():
-        base = first.get(name) or {}
+    for name, by_label in after.items():
+        base = before.get(name) or {}
         for label, value in by_label.items():
             delta = value - base.get(label, 0.0)
             if delta < 0:
                 delta = value
             if delta:
-                out.setdefault(name, {})[label] = delta
+                out.setdefault(name, {})[label] = delta / seconds
     return out
-
-
-def counter_rates(snapshots: list[dict]) -> dict:
-    """Counter increments per second over *snapshots* (same shape as
-    :func:`counter_deltas`)."""
-    if len(snapshots) < 2:
-        return {}
-    elapsed = snapshots[-1]["mono"] - snapshots[0]["mono"]
-    if elapsed <= 0:
-        return {}
-    return {
-        name: {label: delta / elapsed for label, delta in by_label.items()}
-        for name, by_label in counter_deltas(snapshots).items()
-    }
 
 
 def load_status(path: str) -> dict:
@@ -281,69 +167,32 @@ def load_status(path: str) -> dict:
             f"{path}: status schema v{version!r} is newer than this "
             f"reader (v{SNAPSHOT_VERSION})"
         )
+    if version < SNAPSHOT_VERSION:
+        raise ValueError(
+            f"{path}: status schema v{version} (a snapshot ring) is no "
+            f"longer read (this reader reads v{SNAPSHOT_VERSION}); re-run "
+            "the producing command"
+        )
     return payload
 
 
-# -- process-wide bus ---------------------------------------------------------
-
-_bus: Optional[MetricsSnapshotBus] = None
-
-
-def get_bus() -> Optional[MetricsSnapshotBus]:
-    """The process-wide snapshot bus, or None when no run publishes one."""
-    return _bus
-
-
-def set_bus(bus: Optional[MetricsSnapshotBus]) -> Optional[MetricsSnapshotBus]:
-    """Install (or clear, with None) the process-wide bus."""
-    global _bus
-    previous = _bus
-    _bus = bus
-    return previous
-
-
-def capture_now() -> None:
-    """Snapshot at a natural progress point (advisor phase end, tuning
-    cycle end).  No-op unless a bus is installed, so instrumented library
-    code can call it unconditionally."""
-    bus = get_bus()
-    if bus is None:
-        return
-    try:
-        bus.capture()
-        if bus.path:
-            bus.write()
-    except Exception:
-        pass
-
-
-# -- HTTP endpoint ------------------------------------------------------------
-
-
 def serve_status(
-    source: "MetricsSnapshotBus | str",
-    port: int = 0,
-    host: str = "127.0.0.1",
+    path: str, port: int = 0, host: str = "127.0.0.1"
 ) -> ThreadingHTTPServer:
-    """Serve status JSON over HTTP for scraping.
+    """Serve the status file at *path* as JSON over HTTP for scraping.
 
-    *source* is either a live bus (served from memory) or a status file
-    path (re-read per request, so a dashboard process can serve a run
-    happening elsewhere).  Returns the bound server -- call
+    The file is re-read per request, so a dashboard process can serve a
+    run happening elsewhere.  Returns the bound server -- call
     ``serve_forever()`` (or run it in a thread) and ``shutdown()`` when
     done; ``port=0`` binds an ephemeral port (``server_address[1]``).
     """
-    if isinstance(source, MetricsSnapshotBus):
-        provider = source.to_dict
-    else:
-        provider = lambda: load_status(source)   # noqa: E731
 
     class _StatusHandler(BaseHTTPRequestHandler):
         def do_GET(self):   # noqa: N802 (http.server API)
             try:
-                body = json.dumps(provider(), default=str).encode()
+                body = json.dumps(load_status(path), default=str).encode()
                 status = 200
-            except Exception as exc:
+            except (OSError, ValueError) as exc:
                 body = json.dumps({"error": str(exc)}).encode()
                 status = 503
             self.send_response(status)

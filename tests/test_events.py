@@ -222,6 +222,33 @@ def test_journal_of_process_killed_mid_append_still_loads(tmp_path, capsys):
     assert "torn tail: 1 undecodable final line" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tail_decodes", [False, True])
+def test_resumed_journal_mends_final_line_without_newline(tmp_path, tail_decodes):
+    """Binding to a journal left by a crash mid-append starts the next
+    record on a line of its own: an undecodable final line is cut off and
+    counted as a torn tail, a complete one only gets its newline."""
+    from repro.obs import MetricsRegistry, set_registry
+
+    path = tmp_path / "resumed.jsonl"
+    record = json.dumps({"seq": 0, "ts": 0.0, "v": SCHEMA_VERSION,
+                         "type": "cycle_start", "database": "db0"})
+    final = record.replace("db0", "db1")
+    path.write_text(record + "\n" + (final if tail_decodes else final[:20]))
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        journal = EventJournal().bind(str(path))
+        journal.emit(CycleStart(database="db2"))
+        journal.close()
+        torn = registry.counter("journal.torn_tail").value()
+    finally:
+        set_registry(previous)
+    expected = ["db0", "db1", "db2"] if tail_decodes else ["db0", "db2"]
+    assert [r["database"] for r in read_events(str(path))] == expected
+    assert torn == (0 if tail_decodes else 1)
+    assert path.read_text().endswith("\n")
+
+
 # -- emitter integration ------------------------------------------------------
 
 

@@ -154,6 +154,32 @@ def test_regression_detector_ages_suspects_out():
     assert detector._recent_ddl == {}
 
 
+def test_referenced_tables_counts_unparsed_and_propagates_other_errors(monkeypatch):
+    from repro.fleet import regression
+    from repro.obs import MetricsRegistry, set_registry
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        tables = regression._referenced_tables(
+            "SELECT a FROM orders WHERE status = 'x'",
+            "SELECT FROM WHERE",          # ParseError
+            "SELECT a FROM t WHERE b = `",  # LexError
+        )
+        skipped = registry.counter("regression.unparsed_sql").value()
+    finally:
+        set_registry(previous)
+    assert tables == {"orders"}
+    assert skipped == 2
+
+    def broken_parse(sql):
+        raise RuntimeError("parser bug")
+
+    monkeypatch.setattr(regression, "parse", broken_parse)
+    with pytest.raises(RuntimeError, match="parser bug"):
+        regression._referenced_tables("SELECT a FROM orders")
+
+
 def test_replay_cpu_drops_as_indexes_build(product):
     product.db.drop_all_secondary_indexes()
     from repro.baselines import AimAlgorithm

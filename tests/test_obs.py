@@ -11,8 +11,8 @@ from repro.core import AimAdvisor
 from repro.engine import ExecutionMetrics, INNODB
 from repro.obs import (
     MetricsRegistry,
-    MetricsSnapshotBus,
     SamplingProfiler,
+    StatusWriter,
     Tracer,
     get_registry,
     get_tracer,
@@ -175,11 +175,11 @@ def test_failed_exports_leave_previous_file_intact(tmp_path, tracer):
     with tracer.span("advisor.recommend"):
         pass
     profiler = SamplingProfiler()
-    bus = MetricsSnapshotBus(path=str(tmp_path / "status.json"))
+    status = StatusWriter(str(tmp_path / "status.json"))
     writers = {
         "trace.json": tracer.write_chrome_trace,
         "profile.collapsed": profiler.write_collapsed,
-        "status.json": bus.write,
+        "status.json": status.write,
     }
     for name, write in writers.items():
         write(str(tmp_path / name))
@@ -187,7 +187,7 @@ def test_failed_exports_leave_previous_file_intact(tmp_path, tracer):
 
     tracer.spans()[0].set(bad=_Unprintable())
     profiler.collapsed = lambda: str(_Unprintable())
-    bus.to_dict = lambda: {"bad": _Unprintable()}
+    status.document = lambda: {"bad": _Unprintable()}
     for name, write in writers.items():
         with pytest.raises(RuntimeError, match="cannot serialize"):
             write(str(tmp_path / name))

@@ -104,3 +104,30 @@ def test_aim_matches_dba_with_fewer_indexes(product_f):
     # numbers; AIM's covering indexes can be individually wider).
     assert aim.total_size_bytes <= dba_size * 2.0
     assert 0 < jaccard_similarity(aim.indexes, dba) < 1.0
+
+
+_DBA_CODE = """
+from repro.workloads.production import PRODUCTS, build_product, dba_index_set
+product = build_product(PRODUCTS["F"])
+dba = dba_index_set(product, 256 << 20)
+print(sorted(i.name for i in dba), sum(product.db.index_size_bytes(i) for i in dba))
+"""
+
+
+@pytest.mark.slow
+def test_dba_index_set_identical_across_hash_seeds():
+    """Ties on gain between candidate orders (a set of partial orders)
+    must not be broken by string-hash iteration order."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = set()
+    for hash_seed in (1, 2):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _DBA_CODE],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout)
+    assert len(outputs) == 1, "DBA reference set depends on PYTHONHASHSEED"

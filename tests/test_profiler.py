@@ -160,3 +160,28 @@ def test_telemetry_snapshot_carries_profiler(registry, no_profiler):
     snapshot = telemetry_snapshot()
     assert snapshot["profiler"]["samples"] > 0
     assert "snap.region" in snapshot["profiler"]["regions"]
+
+
+def test_obs_threads_are_not_sampled_and_achieved_rate_is_reported(
+    tmp_path, registry, no_profiler
+):
+    """The status writer's stacks never appear in samples, and the
+    exported achieved rate is the ticks actually taken per second."""
+    from repro.obs import StatusWriter
+
+    writer = StatusWriter(str(tmp_path / "status.json"), interval=0.005)
+    profiler = SamplingProfiler(hz=97)
+    writer.start()
+    try:
+        profiler.start()
+        _busy_loop(0.4)
+        profiler.stop()
+    finally:
+        writer.stop()
+    stacks = profiler.stacks()
+    assert stacks
+    assert not any("StatusWriter" in frame for stack in stacks for frame in stack)
+    assert not any("SamplingProfiler" in frame for stack in stacks for frame in stack)
+    summary = profiler.to_dict()
+    assert 0 < summary["achieved_hz"] <= summary["hz"]
+    assert summary["achieved_hz"] == profiler.ticks / summary["wall_seconds"]

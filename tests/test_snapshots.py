@@ -1,4 +1,4 @@
-"""Tests for the metrics snapshot bus and status publication."""
+"""Tests for the status document and its publication."""
 
 from __future__ import annotations
 
@@ -11,15 +11,11 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    MetricsSnapshotBus,
-    capture_now,
-    counter_deltas,
+    StatusWriter,
     counter_rates,
     default_status_path,
-    get_bus,
     load_status,
     serve_status,
-    set_bus,
     set_registry,
 )
 from repro.obs.snapshots import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
@@ -33,80 +29,41 @@ def registry():
     set_registry(previous)
 
 
-@pytest.fixture()
-def no_bus():
-    previous = set_bus(None)
-    yield
-    bus = set_bus(previous)
-    if bus is not None:
-        bus.stop(final_capture=False)
-
-
-def test_capture_and_window(registry, no_bus):
-    bus = MetricsSnapshotBus(capacity=10)
-    calls = registry.counter("c")
-    for i in range(4):
-        calls.inc(10)
-        bus.capture(now=1000.0 + i, mono=float(i))
-    assert len(bus) == 4
-    assert [s["mono"] for s in bus.window(1.5)] == [2.0, 3.0]
-    assert bus.latest()["metrics"]["counters"]["c"] == {"": 40.0}
-
-
-def test_delta_and_rate_math(registry, no_bus):
-    bus = MetricsSnapshotBus()
+def test_delta_and_rate_math(registry):
     calls = registry.counter("opt.calls")
     calls.inc(5, kind="select")
-    bus.capture(now=0.0, mono=0.0)
+    before = registry.snapshot()["counters"]
     calls.inc(15, kind="select")
     calls.inc(3, kind="update")
-    bus.capture(now=10.0, mono=10.0)
-    assert bus.deltas() == {"opt.calls": {"kind=select": 15.0, "kind=update": 3.0}}
-    assert bus.rates() == {"opt.calls": {"kind=select": 1.5, "kind=update": 0.3}}
+    after = registry.snapshot()["counters"]
+    assert counter_rates(before, after, 10.0) == {
+        "opt.calls": {"kind=select": 1.5, "kind=update": 0.3}
+    }
 
 
 def test_counter_reset_handled_like_prometheus():
-    def snap(mono, value):
-        return {"ts": mono, "mono": mono,
-                "metrics": {"counters": {"c": {"": value}}}}
-
     # The producing process restarted: the counter went 100 -> 7.  The
     # post-restart value is the delta, not -93.
-    deltas = counter_deltas([snap(0.0, 100.0), snap(5.0, 7.0)])
-    assert deltas == {"c": {"": 7.0}}
-    rates = counter_rates([snap(0.0, 100.0), snap(5.0, 7.0)])
+    rates = counter_rates({"c": {"": 100.0}}, {"c": {"": 7.0}}, 5.0)
     assert rates == {"c": {"": pytest.approx(1.4)}}
 
 
 def test_delta_edge_cases():
-    assert counter_deltas([]) == {}
-    assert counter_deltas([{"mono": 0.0, "metrics": {}}]) == {}
-    same = [
-        {"mono": 0.0, "metrics": {"counters": {"c": {"": 5.0}}}},
-        {"mono": 0.0, "metrics": {"counters": {"c": {"": 5.0}}}},
-    ]
-    assert counter_deltas(same) == {}        # no increment -> omitted
-    assert counter_rates(same) == {}         # zero elapsed -> no rates
+    assert counter_rates({}, {}, 1.0) == {}
+    same = {"c": {"": 5.0}}
+    assert counter_rates(same, same, 1.0) == {}      # no increment -> omitted
+    assert counter_rates({}, same, 0.0) == {}        # zero elapsed -> no rates
 
 
-def test_ring_capacity(registry, no_bus):
-    bus = MetricsSnapshotBus(capacity=3)
-    for i in range(10):
-        bus.capture(now=float(i), mono=float(i))
-    assert len(bus) == 3
-    assert [s["mono"] for s in bus.snapshots()] == [7.0, 8.0, 9.0]
-
-
-def test_write_load_round_trip(tmp_path, registry, no_bus):
+def test_write_load_round_trip(tmp_path, registry):
     registry.counter("c").inc(2)
-    bus = MetricsSnapshotBus(source="test-run")
-    bus.capture(now=1.0, mono=1.0)
-    path = bus.write(str(tmp_path / "status.json"))
-    status = load_status(path)
+    writer = StatusWriter(str(tmp_path / "status.json"), source="test-run")
+    status = load_status(writer.write())
     assert status["format"] == SNAPSHOT_FORMAT
     assert status["v"] == SNAPSHOT_VERSION
     assert status["source"] == "test-run"
-    assert status["snapshots"][0]["metrics"]["counters"]["c"] == {"": 2.0}
+    assert status["started"] == writer.started <= status["ts"]
+    assert status["telemetry"]["metrics"]["counters"]["c"] == {"": 2.0}
 
 
 def test_load_status_rejects_foreign_and_newer(tmp_path):
@@ -118,46 +75,65 @@ def test_load_status_rejects_foreign_and_newer(tmp_path):
     newer.write_text(json.dumps({"format": SNAPSHOT_FORMAT, "v": 99}))
     with pytest.raises(ValueError, match="newer"):
         load_status(str(newer))
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"format": SNAPSHOT_FORMAT, "v": 1,
+                                "snapshots": []}))
+    with pytest.raises(ValueError, match="v1 .*no longer read"):
+        load_status(str(ring))
 
 
-def test_journal_tail_in_extras(registry, no_bus):
+def test_journal_tail_in_status_document(tmp_path, registry):
     from repro.obs import CycleStart, emit, get_journal
 
     get_journal().reset()
-    emit(CycleStart(database="db1", queries=3, budget_bytes=1))
-    bus = MetricsSnapshotBus()
-    snap = bus.capture(now=0.0, mono=0.0)
-    tail = snap["extras"]["journal_tail"]
-    assert tail[-1]["type"] == "cycle_start"
+    for i in range(10):
+        emit(CycleStart(database=f"db{i}", queries=3, budget_bytes=1))
+    writer = StatusWriter(str(tmp_path / "status.json"))
+    tail = load_status(writer.write())["journal_tail"]
+    assert [r["database"] for r in tail] == [f"db{i}" for i in range(2, 10)]
     get_journal().reset()
 
 
-def test_capture_now_with_and_without_bus(tmp_path, registry, no_bus):
-    capture_now()   # no bus installed: must be a silent no-op
+def test_background_sampler_thread(tmp_path, registry):
     path = tmp_path / "status.json"
-    bus = MetricsSnapshotBus(path=str(path), source="hook")
-    set_bus(bus)
-    assert get_bus() is bus
-    registry.counter("c").inc()
-    capture_now()
-    assert len(bus) == 1
-    assert load_status(str(path))["source"] == "hook"
-    set_bus(None)
-
-
-def test_background_sampler_thread(tmp_path, registry, no_bus):
-    path = tmp_path / "status.json"
-    bus = MetricsSnapshotBus(interval=0.02, path=str(path))
-    bus.start()
+    writer = StatusWriter(str(path), interval=0.02)
+    writer.start()
     try:
         deadline = 50
-        while len(bus) < 2 and deadline:
+        while not path.exists() and deadline:
             deadline -= 1
             threading.Event().wait(0.02)
     finally:
-        bus.stop(final_capture=True)
-    assert len(bus) >= 2
-    assert load_status(str(path))["snapshots"]
+        writer.stop()
+    assert path.exists()
+    assert load_status(str(path))["telemetry"]["metrics"] is not None
+
+
+def test_writer_counts_failed_writes(tmp_path, registry):
+    """A failing write does not stop the writer thread; each one counts
+    as ``status.write_failures``, which obs-report and top both show."""
+    from repro.obs.report import render_report
+    from repro.obs.top import render_top
+
+    writer = StatusWriter(str(tmp_path / "missing" / "status.json"),
+                          interval=0.01)
+    def failures() -> float:   # reading the counter folds the tally in
+        return registry.counter("status.write_failures").value()
+
+    writer.start()
+    try:
+        deadline = 200
+        while failures() < 2 and deadline:
+            deadline -= 1
+            threading.Event().wait(0.01)
+    finally:
+        with pytest.raises(OSError):
+            writer.stop()          # the final write raises
+    assert failures() >= 2
+    document = writer.document()
+    shown = f"status writes failed {failures():g}"
+    assert shown in render_report(document)
+    assert shown in render_top(document)
 
 
 def test_default_status_path_env_override(monkeypatch):
@@ -175,11 +151,10 @@ def _http_get(port: int) -> tuple[int, dict]:
         return exc.code, json.load(exc)
 
 
-def test_serve_status_from_bus(registry, no_bus):
+def test_serve_status_from_file(tmp_path, registry):
     registry.counter("c").inc(4)
-    bus = MetricsSnapshotBus(source="served")
-    bus.capture(now=0.0, mono=0.0)
-    server = serve_status(bus, port=0)
+    path = StatusWriter(str(tmp_path / "status.json"), source="served").write()
+    server = serve_status(path, port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         status, body = _http_get(server.server_address[1])
@@ -188,7 +163,7 @@ def test_serve_status_from_bus(registry, no_bus):
         server.server_close()
     assert status == 200
     assert body["source"] == "served"
-    assert body["snapshots"][0]["metrics"]["counters"]["c"] == {"": 4.0}
+    assert body["telemetry"]["metrics"]["counters"]["c"] == {"": 4.0}
 
 
 def test_serve_status_from_file_missing_is_503(tmp_path):

@@ -12,98 +12,119 @@ from repro.obs.top import render_top, run_top
 
 STATUS = {
     "format": "repro.obs.snapshots",
-    "v": 1,
+    "v": 2,
     "source": "advise:aim",
     "pid": 4242,
-    "started": 1000.0,
-    "snapshots": [
-        {
-            "ts": 1000.0, "mono": 10.0, "pid": 4242,
-            "metrics": {
-                "counters": {
-                    "optimizer.calls": {"kind=select": 5.0},
-                    "whatif.evaluations": {"": 20.0},
-                    "whatif.cache_hits": {"": 10.0},
-                },
-                "gauges": {}, "histograms": {},
+    "started": 990.0,
+    "ts": 1010.0,
+    "telemetry": {
+        "metrics": {
+            "counters": {
+                "advisor.runs": {"": 1.0},
+                "optimizer.calls": {"kind=select": 15.0},
+                "whatif.evaluations": {"": 40.0},
+                "whatif.cache_hits": {"": 30.0},
+                "whatif.canonical_hits": {"": 4.0},
+                "analyze.cache_hits": {"": 12.0},
+                "status.write_failures": {"": 1.0},
             },
+            "gauges": {
+                "advisor.phase.active": {"phase=ranking": 1.0,
+                                         "phase=baseline_cost": 0.0},
+            },
+            "histograms": {},
         },
-        {
-            "ts": 1010.0, "mono": 20.0, "pid": 4242,
-            "metrics": {
-                "counters": {
-                    "advisor.runs": {"": 1.0},
-                    "optimizer.calls": {"kind=select": 15.0},
-                    "whatif.evaluations": {"": 40.0},
-                    "whatif.cache_hits": {"": 30.0},
-                    "whatif.canonical_hits": {"": 4.0},
-                    "analyze.cache_hits": {"": 12.0},
-                },
-                "gauges": {
-                    "advisor.phase.active": {"phase=ranking": 1.0},
-                },
-                "histograms": {
-                    "advisor.phase.seconds": {
-                        "phase=baseline_cost": {"count": 1, "sum": 0.05, "max": 0.05},
-                        "phase=ranking": {"count": 1, "sum": 0.002, "max": 0.002},
-                    },
-                },
-            },
-            "extras": {
-                "journal_tail": [
-                    {"seq": 0, "type": "cycle_start", "database": "db1",
-                     "queries": 9},
-                    {"seq": 1, "type": "advisor_decision", "action": "accepted",
-                     "reason": "knapsack_selected",
-                     "index": "idx_orders_user_id"},
-                ],
-                "profiler": {
-                    "hz": 97.0, "samples": 120, "overhead_pct": 0.8,
-                    "top_frames": [
-                        {"frame": "optimizer.Optimizer.explain",
-                         "samples": 60, "pct": 50.0},
-                        {"frame": "selectivity.estimate",
-                         "samples": 30, "pct": 25.0},
-                    ],
-                    "regions": {"advisor.ranking": 70, "cli.advise": 50},
-                },
-            },
+        "spans": {
+            "advisor.baseline_cost": {"count": 1, "total_seconds": 0.05,
+                                      "max_seconds": 0.05,
+                                      "attrs": {"optimizer_calls": 6}},
+            "advisor.merge": {"count": 2, "total_seconds": 0.002,
+                              "max_seconds": 0.0015, "attrs": {}},
         },
+        "profiler": {
+            "hz": 97.0, "achieved_hz": 46.8, "samples": 120,
+            "wall_seconds": 2.56, "overhead_pct": 0.8,
+            "top_frames": [
+                {"frame": "optimizer.Optimizer.explain",
+                 "samples": 60, "pct": 50.0},
+                {"frame": "selectivity.estimate",
+                 "samples": 30, "pct": 25.0},
+            ],
+            "regions": {"advisor.ranking": 70, "cli.advise": 50},
+        },
+    },
+    "journal_tail": [
+        {"seq": 0, "type": "cycle_start", "database": "db1", "queries": 9},
+        {"seq": 1, "type": "advisor_decision", "action": "accepted",
+         "reason": "knapsack_selected", "index": "idx_orders_user_id",
+         "benefit": 12.5, "maintenance": 0.25, "database": "db1"},
+        {"seq": 2, "type": "advisor_decision", "action": "rejected",
+         "reason": "knapsack_evicted", "index": "idx_orders_status"},
     ],
 }
 
+#: The read before STATUS: rates between the two span 10 s.
+PREVIOUS = {
+    **STATUS,
+    "ts": 1000.0,
+    "telemetry": {
+        "metrics": {
+            "counters": {
+                "optimizer.calls": {"kind=select": 5.0},
+                "whatif.evaluations": {"": 20.0},
+                "whatif.cache_hits": {"": 10.0},
+            },
+        },
+    },
+}
+
 GOLDEN = """\
-repro top — source advise:aim  pid 4242  snapshots 2  age 2.5s
+repro top — source advise:aim  pid 4242  age 2.5s  running ranking
 ==============================================================================
-tuning cycles
-  advisor runs      1   tuning cycles      0   indexes recommended      0
-  phase                      runs   total ms     max ms    state
-  baseline_cost                 1      50.00      50.00     idle
-  ranking                       1       2.00       2.00  RUNNING
+rates over 10.00s: optimizer calls 1.0/s, what-if requests 2.0/s
+fallbacks: status writes failed 1, unparsed regression texts 0, torn journal tails 0
 
-optimizer / what-if
-  optimizer calls          15   (1.0/s)
-  what-if requests         40   (2.0/s)
-  cache hit rate        75.0%   (canonical 4, analyze 12)
+phases:
+span                                      count   total ms     max ms    opt calls
+--------------------------------------------------------------------------
+advisor.baseline_cost                         1      50.00      50.00            6
+advisor.merge                                 2       2.00       1.50            -
 
-journal tail
-  [    0] cycle_start          db1 queries=9
-  [    1] advisor_decision     accepted knapsack_selected idx_orders_user_id
+what-if cache:
+  plan requests      = 40
+  cache hits         = 30  (75.0%, 4 via canonical subset rule)
+  optimizer consults = 10
+  evictions          = 0
+  analyze cache hits = 12
 
-top profiled frames (97 Hz, 120 samples, overhead 0.8%)
-   50.0%  optimizer.Optimizer.explain
-   25.0%  selectivity.estimate
-  regions: advisor.ranking (70), cli.advise (50)"""
+profiler: 120 samples at 97 Hz nominal, 46.8 Hz achieved over 2.56s (overhead 0.80%)
+   50.0%      60  optimizer.Optimizer.explain
+   25.0%      30  selectivity.estimate
+  regions: advisor.ranking (70), cli.advise (50)
+
+journal tail:
+  [    0] [db1] cycle_start
+  [    1] [db1] + idx_orders_user_id: knapsack_selected  (benefit 12.500, maintenance 0.250)
+  [    2] - idx_orders_status: knapsack_evicted"""
 
 
 def test_render_top_golden():
-    """The full frame is a pure function of (status, now): golden output."""
-    assert render_top(STATUS, now=1012.5, window=30.0) == GOLDEN
+    """The full frame is a pure function of (status, previous, now)."""
+    assert render_top(STATUS, PREVIOUS, now=1012.5) == GOLDEN
+
+
+def test_render_top_rates_from_start_without_previous_read():
+    frame = render_top(STATUS, now=1012.5)
+    assert "rates over 20.00s: optimizer calls 0.8/s, what-if requests 2.0/s" in frame
+    # A previous read that is not older than this one is no rate base.
+    assert render_top(STATUS, STATUS, now=1012.5) == frame
 
 
 def test_render_top_empty_status():
-    frame = render_top({"source": "x", "pid": 1, "snapshots": []}, now=0.0)
-    assert "no snapshots captured yet" in frame
+    frame = render_top({"source": "x", "pid": 1, "started": 0.0, "ts": 0.0,
+                        "telemetry": {}}, now=0.0)
+    assert "optimizer calls 0.0/s" in frame
+    assert "what-if cache:" not in frame
 
 
 def test_run_top_once_renders_file(tmp_path):
@@ -113,8 +134,8 @@ def test_run_top_once_renders_file(tmp_path):
     assert run_top(["--once", "--status", str(path)], out=out) == 0
     frame = out.getvalue()
     assert "repro top — source advise:aim" in frame
-    assert "optimizer / what-if" in frame
-    assert "top profiled frames" in frame
+    assert "what-if cache:" in frame
+    assert "profiler: 120 samples" in frame
 
 
 def test_run_top_once_missing_status(tmp_path, capsys):
@@ -122,15 +143,20 @@ def test_run_top_once_missing_status(tmp_path, capsys):
     assert "no status" in capsys.readouterr().err
 
 
-def test_run_top_rejects_newer_schema(tmp_path):
+def test_run_top_rejects_newer_schema(tmp_path, capsys):
     path = tmp_path / "status.json"
     path.write_text(json.dumps({**STATUS, "v": 99}))
     assert run_top(["--once", "--status", str(path)]) == 2
+    path.write_text(json.dumps({"format": "repro.obs.snapshots", "v": 1,
+                                "snapshots": []}))
+    assert run_top(["--once", "--status", str(path)]) == 2
+    assert "v1 (a snapshot ring) is no longer read" in capsys.readouterr().err
 
 
 @pytest.mark.slow
 def test_advise_publishes_status_for_top(tmp_path, capsys):
-    """End to end: `repro advise --status F` then `repro top --once`."""
+    """End to end: `repro advise --status F`, then `repro top --once` and
+    `repro obs-report` show the same what-if cache section."""
     import pathlib
 
     examples = pathlib.Path(__file__).parent.parent / "examples" / "cli_files"
@@ -148,5 +174,13 @@ def test_advise_publishes_status_for_top(tmp_path, capsys):
     assert main(["top", "--once", "--status", str(status)]) == 0
     frame = capsys.readouterr().out
     assert "source advise:aim" in frame
-    assert "advisor runs" in frame
-    assert "cache hit rate" in frame
+    assert "advisor.recommend" in frame
+    assert main(["obs-report", str(status)]) == 0
+    report = capsys.readouterr().out
+
+    def whatif(text: str) -> str:
+        section = text.split("what-if cache:\n", 1)[1]
+        return section.split("\n\n", 1)[0]
+
+    assert "plan requests" in whatif(frame)
+    assert whatif(frame) == whatif(report)
